@@ -242,10 +242,29 @@ void BM_Floorplan(benchmark::State& state) {
 }
 BENCHMARK(BM_Floorplan);
 
-// One full layout/interconnect stage per iteration — build + floorplan +
-// HPWL + parasitic fold, i.e. the per-point premium `--layout` adds on top
-// of an analytic evaluation (compare BM_EvaluateMacroInt).
+// One full layout/interconnect stage per iteration, as the cost models run
+// it: an analytic evaluation plus the closed-form wire estimate and the
+// parasitic fold — the per-point price of `--layout`.  Gated by
+// tools/bench_compare.py against BM_CostModelScalar/INT8/1 (one analytic
+// point from the same run).
 void BM_LayoutStage(benchmark::State& state) {
+  const Technology tech = Technology::tsmc28();
+  const EvalContext ctx(tech, EvalConditions{});
+  DesignPoint dp = fig6("INT8");
+  dp.h = 16;
+  dp.l = 32;
+  for (auto _ : state) {
+    MacroMetrics m = evaluate_macro(tech, dp);
+    apply_layout_cost(estimate_layout_cost(ctx, dp), &m);
+    benchmark::DoNotOptimize(m);
+  }
+}
+BENCHMARK(BM_LayoutStage);
+
+// The same stage through the elaborated reference — build + floorplan +
+// HPWL + fold — which the closed form replaced for cost evaluation and is
+// checked against in test_cost_layout_oracle.
+void BM_LayoutStageElaborated(benchmark::State& state) {
   const Technology tech = Technology::tsmc28();
   const EvalContext ctx(tech, EvalConditions{});
   DesignPoint dp = fig6("INT8");
@@ -257,7 +276,7 @@ void BM_LayoutStage(benchmark::State& state) {
     benchmark::DoNotOptimize(m);
   }
 }
-BENCHMARK(BM_LayoutStage);
+BENCHMARK(BM_LayoutStageElaborated);
 
 // --- the measured backend ---------------------------------------------------
 // One full RtlCostModel evaluation (elaborate + STA + workload simulation)

@@ -157,15 +157,19 @@ CompilerResult Compiler::run(const CompilerSpec& spec, CostCache* cache,
                                     cal, spec.layout));
     std::string cache_error;
     std::error_code ec;
-    if (!spec.cache_file.empty() &&
-        std::filesystem::exists(spec.cache_file, ec) &&
-        !local.load(spec.cache_file, &cache_error)) {
+    const bool memo_exists = !spec.cache_file.empty() &&
+                             std::filesystem::exists(spec.cache_file, ec);
+    if (memo_exists && !local.load(spec.cache_file, &cache_error)) {
       return compiler_fail(cache_error, error);
     }
+    const std::size_t loaded = local.size();
     CompilerResult result = run_impl(spec, &local);
     // Non-fatal: the compilation is already done; a memo-write failure must
-    // not discard it.  The next run simply re-pays the evaluations.
-    if (!spec.cache_file.empty() &&
+    // not discard it.  The next run simply re-pays the evaluations.  Nothing
+    // inserted since the load means the file already holds every entry: no
+    // rewrite.
+    const bool grew = !memo_exists || local.size() != loaded;
+    if (!spec.cache_file.empty() && grew &&
         !local.save(spec.cache_file, &cache_error)) {
       std::fprintf(stderr, "[sega] warning: %s (results unaffected)\n",
                    cache_error.c_str());

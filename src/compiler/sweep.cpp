@@ -22,6 +22,7 @@
 
 #include "cost/calibrate.h"
 #include "cost/cost_cache.h"
+#include "cost/layout_cost.h"
 #include "tech/techlib_parser.h"
 #include "util/assert.h"
 #include "util/strings.h"
@@ -262,6 +263,10 @@ Json config_fingerprint(const SweepSpec& spec, const Technology& tech,
   // keep their fingerprint byte-identical — and a calibrated checkpoint can
   // never resume an uncalibrated sweep, or vice versa.
   if (cal != nullptr) j["calibration"] = cal->fingerprint();
+  // The wire model's version, likewise only-when-enabled: layout-off
+  // headers stay byte-identical, and a checkpoint written under an older
+  // wire model can never resume (or merge) under the current one.
+  if (spec.layout) j["layout_version"] = kLayoutCostVersion;
   return j;
 }
 
@@ -1002,6 +1007,17 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
       }
     }
   }
+  // Entry count the memo file at memo_path already holds.  A save at this
+  // size would rewrite the same entries under a new inode, so persist_memo
+  // skips it (a warm run with zero evaluations leaves the memo untouched).
+  std::optional<std::size_t> memo_saved_size;
+  {
+    std::error_code ec;
+    if (!memo_path.empty() && spec.shared_cache == nullptr &&
+        std::filesystem::exists(memo_path, ec)) {
+      memo_saved_size = cache.size();
+    }
+  }
 
   // --- checkpoint load ---
   using CellKey = std::pair<std::int64_t, std::string>;
@@ -1156,6 +1172,8 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
   // is the primary product; a failed memo write only costs re-evaluation.
   const auto persist_memo = [&]() {
     if (memo_path.empty() || spec.shared_cache != nullptr) return;
+    const std::size_t size = cache.size();
+    if (memo_saved_size && *memo_saved_size == size) return;
     std::string cache_error;
     const bool saved = spec.shard.active()
                            ? cache.save_delta(memo_path, &cache_error)
@@ -1163,7 +1181,9 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
     if (!saved) {
       std::fprintf(stderr, "[sega] warning: %s (sweep results unaffected)\n",
                    cache_error.c_str());
+      return;
     }
+    memo_saved_size = size;
   };
   std::ofstream hb;
   std::size_t done_owned = 0;

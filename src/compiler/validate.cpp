@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 
 #include "cost/cost_cache.h"
 #include "cost/rtl_cost_model.h"
@@ -197,6 +198,9 @@ ValidateReport run_validate(const Compiler& compiler, const ValidateSpec& spec,
   std::unique_ptr<const RtlCostModel> owned_model;
   std::unique_ptr<CostCache> owned_cache;
   CostCache* rtl_cache = spec.shared_rtl_cache;
+  // Entries the rtl memo file already holds: an unchanged cache is not
+  // rewritten (no new inode for a warm rerun).
+  std::optional<std::size_t> rtl_memo_size;
   if (rtl_cache == nullptr) {
     RtlCostModelOptions rtl_options;
     rtl_options.threads = grid.dse.threads;
@@ -211,9 +215,11 @@ ValidateReport run_validate(const Compiler& compiler, const ValidateSpec& spec,
     if (!spec.rtl_cache_file.empty()) {
       std::error_code ec;
       std::string cache_error;
-      if (std::filesystem::exists(spec.rtl_cache_file, ec) &&
-          !rtl_cache->load(spec.rtl_cache_file, &cache_error)) {
-        return validate_fail(cache_error, error);
+      if (std::filesystem::exists(spec.rtl_cache_file, ec)) {
+        if (!rtl_cache->load(spec.rtl_cache_file, &cache_error)) {
+          return validate_fail(cache_error, error);
+        }
+        rtl_memo_size = rtl_cache->size();
       }
     }
   }
@@ -225,7 +231,8 @@ ValidateReport run_validate(const Compiler& compiler, const ValidateSpec& spec,
   std::vector<MacroMetrics> measured(knees.size());
   rtl_cache->evaluate_batch(Span<const DesignPoint>(knees),
                             Span<MacroMetrics>(measured));
-  if (owned_cache && !spec.rtl_cache_file.empty()) {
+  if (owned_cache && !spec.rtl_cache_file.empty() &&
+      rtl_memo_size != rtl_cache->size()) {
     std::string cache_error;
     if (!rtl_cache->save(spec.rtl_cache_file, &cache_error)) {
       std::fprintf(stderr, "[sega] warning: %s (validate results "

@@ -7,7 +7,6 @@
 #include "cost/calibrate.h"
 #include "cost/layout_cost.h"
 #include "cost/rtl_cost_model.h"
-#include "rtl/macro_builder.h"
 #include "util/assert.h"
 #include "util/strings.h"
 
@@ -110,7 +109,7 @@ MacroMetrics AnalyticCostModel::evaluate(const DesignPoint& dp) const {
                                        *cal_)
            : derive_metrics(ctx_, census, cost_components(census));
   if (layout_) {
-    apply_layout_cost(estimate_layout_cost(ctx_, build_dcim_macro(dp)), &m);
+    apply_layout_cost(estimate_layout_cost(ctx_, dp), &m);
   }
   return m;
 }
@@ -132,8 +131,7 @@ void AnalyticCostModel::evaluate_batch(Span<const DesignPoint> points,
           derive_metrics_calibrated(ctx_, census, cost_components(census),
                                     *cal_);
       if (layout_) {
-        apply_layout_cost(
-            estimate_layout_cost(ctx_, build_dcim_macro(points[i])), &out[i]);
+        apply_layout_cost(estimate_layout_cost(ctx_, points[i]), &out[i]);
       }
     }
     return;
@@ -231,8 +229,7 @@ void AnalyticCostModel::evaluate_batch(Span<const DesignPoint> points,
   // loop of evaluate() regardless of batch split or thread count.
   if (layout_) {
     for (std::size_t i = 0; i < n; ++i) {
-      apply_layout_cost(
-          estimate_layout_cost(ctx_, build_dcim_macro(points[i])), &out[i]);
+      apply_layout_cost(estimate_layout_cost(ctx_, points[i]), &out[i]);
     }
   }
 }

@@ -122,9 +122,9 @@ class AnalyticCostModel final : public CostModel {
 
   /// The full-identity constructor: calibration plus the layout stage
   /// toggle.  With @p layout, every evaluation path (scalar, calibrated
-  /// loop, SoA batch) builds the macro netlist, floorplans it, and folds
-  /// the wire parasitics (layout_cost.h) after metric derivation; the fold
-  /// is per-point pure, so batches stay bit-identical to the scalar path.
+  /// loop, SoA batch) folds the closed-form wire parasitics (layout_cost.h)
+  /// after metric derivation — no netlist is built; the fold is per-point
+  /// pure, so batches stay bit-identical to the scalar path.
   AnalyticCostModel(const Technology& tech, EvalConditions cond,
                     std::shared_ptr<const Calibration> cal, bool layout);
 

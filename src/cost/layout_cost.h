@@ -4,10 +4,9 @@
 //
 // The paper's macro flow merges three layout regions — memory array, DCIM
 // compute, digital peripherals — yet the closed forms of Tables II-VI price
-// only gates, never the wire between them.  This stage floorplans the macro
-// (layout/floorplan.h), estimates half-perimeter wirelength over the placed
-// netlist (layout/wirelength.h), and folds the wire parasitics into the
-// delay/energy metrics:
+// only gates, never the wire between them.  This stage estimates the
+// half-perimeter wirelength of the floorplanned macro and folds the wire
+// parasitics into the delay/energy metrics:
 //
 //   delay   — an Elmore-style term on the *longest* net: wire delay grows
 //             with both resistance and capacitance, each linear in length,
@@ -15,21 +14,33 @@
 //   energy  — switched wire capacitance, linear in the *total* routed
 //             length.  Routing toggles are not traced by the RTL backend's
 //             gate-level simulation (it meters cell output switching, not
-//             wires), so BOTH backends fold the same analytic wire-energy
-//             estimate — their divergence stays a pure gate-level quantity.
+//             wires), so BOTH backends fold the same closed-form estimate —
+//             their divergence stays a pure gate-level quantity.
+//
+// Two estimators share the parasitic conversion:
+//
+//   closed form  — estimate_layout_cost(ctx, DesignPoint): derives the
+//                  floorplan geometry (memory tile, region widths and row
+//                  counts) and the wirelength of every net class of the
+//                  regular (N, H, L, k) tiling without building a netlist.
+//                  This is what both cost backends fold.
+//   elaborated   — estimate_layout_cost(ctx, DcimMacro): floorplans the
+//                  generated netlist (layout/floorplan.h) and measures HPWL
+//                  net by net (layout/wirelength.h).  It is the reference
+//                  the closed form is tested against, in the fast-path-
+//                  checked-against-reference style of GateSimWide/GateSim.
 //
 // Both parasitics are expressed in NOR-gate equivalents per micron and
 // converted through the model's EvalContext, so wire delay/energy scale
 // with supply, activity and sparsity exactly like gate delay/energy and no
 // new Technology constants are needed.
 //
-// The stage is a pure function of (Technology, EvalConditions, DesignPoint):
-// floorplan and placement are deterministic, so layout-enabled metrics are
-// bit-identical at any thread count, and whenever the macro routes any wire
-// at all (every real macro does) the folded delay and energy are *strictly*
-// greater than the layout-off metrics.  The toggle is model identity
-// (CostModel::layout_enabled()): it joins memo headers and sweep config
-// fingerprints so layout-on and layout-off state never cross-load.
+// The stage is a pure function of (Technology, EvalConditions, DesignPoint),
+// so layout-enabled metrics are bit-identical at any thread count, and the
+// folded delay and energy are *strictly* greater than the layout-off
+// metrics.  The toggle is model identity (CostModel::layout_enabled()): it
+// joins memo headers and sweep config fingerprints so layout-on and
+// layout-off state never cross-load.
 #pragma once
 
 #include <cstddef>
@@ -41,11 +52,15 @@ namespace sega {
 
 struct DcimMacro;
 
-/// Version of the wire-parasitic formulas below.  Emitted (only when the
-/// stage is enabled) as the "layout" key of memo fingerprints — bump
-/// whenever a constant or formula changes, so stale layout memos are
-/// rejected rather than silently served.
-inline constexpr int kLayoutCostVersion = 1;
+/// Version of the wire model and parasitic formulas below.  Emitted (only
+/// when the stage is enabled) as the "layout" key of memo headers and the
+/// "layout_version" key of sweep checkpoint fingerprints — bump whenever a
+/// constant or formula changes, so stale layout artifacts are rejected
+/// rather than silently served.
+///
+/// v2: the folded wirelength comes from the closed-form model instead of
+/// the elaborated floorplan.
+inline constexpr int kLayoutCostVersion = 2;
 
 /// Switched wire capacitance per routed micron, in NOR-gate energy
 /// equivalents: total HPWL is multiplied by this and converted through
@@ -68,8 +83,12 @@ struct LayoutCost {
   double wire_energy_fj = 0.0; ///< switched wire cap per cycle
 };
 
-/// Floorplan the macro, estimate wirelength, and convert the parasitics
-/// through @p ctx.  Deterministic; pure in (ctx, macro).
+/// Closed-form estimate for a structurally valid design point: no netlist
+/// is built.  Deterministic and pure in (ctx, dp).
+LayoutCost estimate_layout_cost(const EvalContext& ctx, const DesignPoint& dp);
+
+/// Elaborated estimate: floorplan the generated macro and measure HPWL net
+/// by net.  The reference the closed form is checked against.
 LayoutCost estimate_layout_cost(const EvalContext& ctx,
                                 const DcimMacro& macro);
 

@@ -246,13 +246,12 @@ MacroMetrics RtlCostModel::evaluate(const DesignPoint& dp) const {
   m.tops_per_mm2 = m.throughput_tops / m.area_mm2;
 
   // --- layout/interconnect stage (optional) --------------------------------
-  // Extraction over the *placed elaborated netlist* — the same macro the
-  // measurement ran on, floorplanned by layout/floorplan.  Wire switching
-  // is the analytic estimate through ctx_ (routing toggles are not traced
-  // by the gate-level sim), so both backends fold the identical wire-energy
-  // term and their divergence stays a gate-level quantity.
+  // The same closed-form wire estimate the analytic backend folds (routing
+  // toggles are not traced by the gate-level sim), so both backends fold a
+  // bit-identical LayoutCost and their divergence stays a gate-level
+  // quantity.
   if (options_.layout) {
-    apply_layout_cost(estimate_layout_cost(ctx_, harness.macro()), &m);
+    apply_layout_cost(estimate_layout_cost(ctx_, dp), &m);
   }
   return m;
 }

@@ -80,9 +80,10 @@ struct RtlCostModelOptions {
   /// Energy-trace engine (never affects any metric, only wall-clock).
   RtlSimEngine sim_engine = RtlSimEngine::kAuto;
   /// Fold the layout/interconnect stage (layout_cost.h) into the measured
-  /// metrics: the already-elaborated netlist is floorplanned and the wire
-  /// parasitics are applied after derivation.  Model identity (see
-  /// CostModel::layout_enabled()) — changes every produced metric.
+  /// metrics: the closed-form wire parasitics — bit-identical to the ones
+  /// the analytic backend folds — are applied after derivation.  Model
+  /// identity (see CostModel::layout_enabled()) — changes every produced
+  /// metric.
   bool layout = false;
 };
 

@@ -22,6 +22,20 @@ double MacroLayout::utilization() const {
   return box > 0.0 ? cell_area / box : 0.0;
 }
 
+MemoryTile memory_tile(const Technology& tech, std::int64_t n, std::int64_t h,
+                       std::int64_t l, const FloorplanOptions& options) {
+  const double cell_area = tech.area_um2(tech.cell(CellKind::kSram).area);
+  const double cell_h = std::sqrt(cell_area / options.sram_cell_aspect);
+  const double cell_w = options.sram_cell_aspect * cell_h;
+  double cols = static_cast<double>(n * l);
+  double rows = static_cast<double>(h);
+  while (cols * cell_w > 2.0 * rows * cell_h && cols >= 2.0) {
+    cols = std::ceil(cols / 2.0);
+    rows *= 2.0;
+  }
+  return {cols * cell_w, rows * cell_h};
+}
+
 namespace {
 
 bool is_compute_group(const std::string& g) {
@@ -33,22 +47,12 @@ RegionLayout tile_memory(const Technology& tech, const DcimMacro& macro,
   RegionLayout mem;
   mem.name = "memory";
   const std::int64_t bits = macro.dp.n * macro.dp.h * macro.dp.l;
-  const double cell_area = tech.area_um2(tech.cell(CellKind::kSram).area);
-  const double cell_h = std::sqrt(cell_area / options.sram_cell_aspect);
-  const double cell_w = options.sram_cell_aspect * cell_h;
-
-  // Logical grid: N*L bit columns x H word rows.  Fold columns into extra
-  // rows until the tile is no more than ~2x wider than tall (real SRAM
-  // compilers fold the same way).
-  double cols = static_cast<double>(macro.dp.n * macro.dp.l);
-  double rows = static_cast<double>(macro.dp.h);
-  while (cols * cell_w > 2.0 * rows * cell_h && cols >= 2.0) {
-    cols = std::ceil(cols / 2.0);
-    rows *= 2.0;
-  }
-  mem.width_um = cols * cell_w;
-  mem.height_um = rows * cell_h;
-  mem.cell_area_um2 = static_cast<double>(bits) * cell_area;
+  const MemoryTile tile =
+      memory_tile(tech, macro.dp.n, macro.dp.h, macro.dp.l, options);
+  mem.width_um = tile.width_um;
+  mem.height_um = tile.height_um;
+  mem.cell_area_um2 =
+      static_cast<double>(bits) * tech.area_um2(tech.cell(CellKind::kSram).area);
   mem.cell_count = bits;
   return mem;
 }

@@ -57,6 +57,16 @@ struct FloorplanOptions {
   double target_aspect = 1.5;
 };
 
+/// Dimensions of the tiled memory array for an (N, H, L) macro: N*L bit
+/// columns by H word rows, folded into extra rows until the tile is at most
+/// ~2x wider than tall (real SRAM compilers fold the same way).
+struct MemoryTile {
+  double width_um = 0.0;
+  double height_um = 0.0;
+};
+MemoryTile memory_tile(const Technology& tech, std::int64_t n, std::int64_t h,
+                       std::int64_t l, const FloorplanOptions& options = {});
+
 /// Floorplan a generated macro.
 MacroLayout floorplan_macro(const Technology& tech, const DcimMacro& macro,
                             const FloorplanOptions& options = {});

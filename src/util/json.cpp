@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "util/assert.h"
 #include "util/strings.h"
@@ -123,10 +124,12 @@ std::string number_to_string(double d) {
     return strfmt("%.0f", d);
   }
   std::string s = strfmt("%.17g", d);
-  // Prefer the shortest representation that round-trips.
+  // Prefer the shortest representation that round-trips.  strtod, unlike
+  // stod, never throws: a short candidate near DBL_MAX overflows to inf and
+  // one near DBL_MIN underflows, and both simply fail the comparison.
   for (int prec = 1; prec <= 16; ++prec) {
     std::string cand = strfmt("%.*g", prec, d);
-    if (std::stod(cand) == d) return cand;
+    if (std::strtod(cand.c_str(), nullptr) == d) return cand;
   }
   return s;
 }
@@ -419,15 +422,17 @@ class Parser {
       fail("expected number");
       return std::nullopt;
     }
-    // stod throws on numerals outside double range (e.g. a corrupted file
-    // whose digits were duplicated); malformed input must surface as a
-    // parse error, never as an exception out of parse().
-    try {
-      return Json(std::stod(text_.substr(start, pos_ - start)));
-    } catch (...) {
+    // Any finite result is accepted, subnormals included (strtod rounds
+    // them correctly, so every dumped double parses back bit-exactly).  A
+    // numeral beyond the double range (e.g. a corrupted file whose digits
+    // were duplicated) is a parse error, never an exception or an inf.
+    const double value =
+        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+    if (!std::isfinite(value)) {
       fail("number out of range");
       return std::nullopt;
     }
+    return Json(value);
   }
 
   const std::string& text_;

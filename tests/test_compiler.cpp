@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
+#include <string>
+
+#include "test_support.h"
+
 namespace sega {
 namespace {
 
@@ -195,6 +201,37 @@ TEST(CompilerTest, DeterministicAcrossRuns) {
   for (std::size_t i = 0; i < a.pareto_front.size(); ++i) {
     EXPECT_TRUE(a.pareto_front[i].point == b.pareto_front[i].point);
   }
+}
+
+TEST(CompilerTest, WarmCacheFileIsNotRewritten) {
+  // A warm compile adds no memo entries, so the memo keeps its bytes and
+  // inode; the cold run that created it, and any run that grows it, saves.
+  const test::ScopedTempDir dir("sega_compiler_memo");
+  const Compiler compiler(Technology::tsmc28());
+  CompilerSpec spec = fast_spec("INT8", 8192);
+  spec.generate_rtl = false;
+  spec.dse.population = 8;
+  spec.dse.generations = 4;
+  spec.cache_file = dir.file("compile.memo.jsonl");
+  std::string error;
+  compiler.run(spec, nullptr, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const std::string cold = test::read_file(spec.cache_file);
+  struct stat before {};
+  ASSERT_EQ(::stat(spec.cache_file.c_str(), &before), 0);
+
+  compiler.run(spec, nullptr, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  struct stat after {};
+  ASSERT_EQ(::stat(spec.cache_file.c_str(), &after), 0);
+  EXPECT_EQ(before.st_ino, after.st_ino);
+  EXPECT_EQ(test::read_file(spec.cache_file), cold);
+
+  CompilerSpec other = spec;
+  other.wstore = 4096;
+  compiler.run(other, nullptr, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_GT(test::read_file(spec.cache_file).size(), cold.size());
 }
 
 }  // namespace

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
+#include "cost/layout_cost.h"
 #include "test_support.h"
 #include "util/strings.h"
 
@@ -530,6 +533,63 @@ TEST_F(SweepCheckpointTest, LayoutIsPartOfTheCheckpointFingerprint) {
   EXPECT_TRUE(result.cells.empty());
 }
 
+/// Rewrite a layout-on checkpoint header as wire-model version 1 wrote it:
+/// the same config without the "layout_version" key.
+void downgrade_to_layout_v1(const std::string& path) {
+  std::string text = test::read_file(path);
+  const std::string key =
+      ",\"layout_version\":" + std::to_string(kLayoutCostVersion);
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << text.substr(0, text.find('\n'));
+  ASSERT_LT(at, text.find('\n'));  // in the header line
+  text.erase(at, key.size());
+  test::write_file(path, text);
+}
+
+TEST_F(SweepCheckpointTest, LayoutCheckpointFromAnOlderWireModelIsAHardError) {
+  // The header carries the wire-model version only with layout on, so
+  // layout-off headers keep their bytes, and a checkpoint written by an
+  // older wire model cannot mix its cells into a resume.
+  const Compiler compiler(Technology::tsmc28());
+  SweepSpec off = small_sweep();
+  off.checkpoint = ckpt("v2_off.jsonl");
+  std::string error;
+  run_sweep(compiler, off, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_EQ(lines_of(off.checkpoint)[0].find("layout"), std::string::npos);
+
+  SweepSpec on = small_sweep();
+  on.layout = true;
+  on.checkpoint = ckpt("v1_on.jsonl");
+  const SweepResult fresh = run_sweep(compiler, on, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  downgrade_to_layout_v1(on.checkpoint);
+  const SweepResult resumed = run_sweep(compiler, on, &error);
+  EXPECT_FALSE(error.empty());
+  EXPECT_NE(error.find("configuration"), std::string::npos) << error;
+  EXPECT_TRUE(resumed.cells.empty());
+  EXPECT_FALSE(fresh.cells.empty());
+}
+
+TEST_F(SweepCheckpointTest, MergeRejectsAShardFromAnOlderWireModel) {
+  const Compiler compiler(Technology::tsmc28());
+  SweepSpec spec = small_sweep();
+  spec.layout = true;
+  spec.checkpoint = ckpt("v1merge.jsonl");
+  std::string error;
+  for (int index = 0; index < 2; ++index) {
+    SweepSpec worker = spec;
+    worker.shard.index = index;
+    worker.shard.count = 2;
+    run_sweep(compiler, worker, &error);
+    ASSERT_TRUE(error.empty()) << error;
+  }
+  downgrade_to_layout_v1(shard_file_path(spec.checkpoint, 1, 2));
+  const SweepResult merged = merge_sweep_shards(compiler, spec, 2, &error);
+  EXPECT_FALSE(error.empty());
+  EXPECT_TRUE(merged.cells.empty());
+}
+
 TEST(SweepLayoutSpecTest, LayoutKeyRoundTripsAndValidates) {
   const auto parsed = SweepSpec::from_json(*Json::parse(
       R"({"wstores": [4096], "precisions": ["INT8"], "layout": true})"));
@@ -871,6 +931,41 @@ TEST_F(SweepCacheFileTest, WarmMemoIsByteIdenticalAndSkipsAllEvaluations) {
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(baseline.to_csv(), warm8.to_csv());
   EXPECT_EQ(warm8.cache_misses, 0u);
+}
+
+TEST_F(SweepCacheFileTest, WarmRunLeavesTheMemoFileUntouched) {
+  // Zero evaluations add zero entries: the memo is not rewritten (same
+  // bytes, same inode).  A run that does add entries still saves them.
+  const Compiler compiler(Technology::tsmc28());
+  SweepSpec spec = small_sweep();
+  spec.wstores = {4096};
+  spec.dse.generations = 4;
+  spec.cache_file = ckpt("untouched.memo.jsonl");
+  std::string error;
+  run_sweep(compiler, spec, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const std::string cold_bytes = test::read_file(spec.cache_file);
+  struct stat before {};
+  ASSERT_EQ(::stat(spec.cache_file.c_str(), &before), 0);
+
+  const SweepResult warm = run_sweep(compiler, spec, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_EQ(warm.cache_misses, 0u);
+  struct stat after {};
+  ASSERT_EQ(::stat(spec.cache_file.c_str(), &after), 0);
+  EXPECT_EQ(before.st_ino, after.st_ino);
+  EXPECT_EQ(test::read_file(spec.cache_file), cold_bytes);
+
+  SweepSpec grown = spec;
+  grown.wstores = {4096, 8192};
+  const SweepResult more = run_sweep(compiler, grown, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_GT(more.cache_misses, 0u);
+  // Every miss is one new entry, and all of them reached the file.
+  std::size_t cold_lines = 0;
+  for (const char c : cold_bytes) cold_lines += c == '\n' ? 1 : 0;
+  EXPECT_EQ(test::read_jsonl_lines(spec.cache_file).size(),
+            cold_lines + static_cast<std::size_t>(more.cache_misses));
 }
 
 TEST_F(SweepCacheFileTest, OverlappingGridReusesTheMemo) {

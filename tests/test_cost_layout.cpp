@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "arch/space.h"
@@ -35,9 +36,9 @@ EvalConditions paper_conditions() {
 TEST(LayoutCostTest, EstimateIsPositiveAndDeterministic) {
   const Technology tech = Technology::tsmc28();
   const EvalContext ctx(tech, paper_conditions());
-  const DcimMacro macro = build_dcim_macro(int8_point(32, 128, 16, 8));
-  const LayoutCost a = estimate_layout_cost(ctx, macro);
-  const LayoutCost b = estimate_layout_cost(ctx, macro);
+  const DesignPoint dp = int8_point(32, 128, 16, 8);
+  const LayoutCost a = estimate_layout_cost(ctx, dp);
+  const LayoutCost b = estimate_layout_cost(ctx, dp);
   EXPECT_GT(a.nets, 0u);
   EXPECT_GT(a.wire_total_um, 0.0);
   EXPECT_GT(a.wire_max_um, 0.0);
@@ -46,6 +47,12 @@ TEST(LayoutCostTest, EstimateIsPositiveAndDeterministic) {
   EXPECT_EQ(a.wire_total_um, b.wire_total_um);
   EXPECT_EQ(a.wire_delay_ns, b.wire_delay_ns);
   EXPECT_EQ(a.wire_energy_fj, b.wire_energy_fj);
+
+  // The elaborated reference is deterministic too.
+  const DcimMacro macro = build_dcim_macro(dp);
+  const LayoutCost c = estimate_layout_cost(ctx, macro);
+  EXPECT_GT(c.nets, 0u);
+  EXPECT_EQ(c.wire_total_um, estimate_layout_cost(ctx, macro).wire_total_um);
 }
 
 TEST(LayoutCostTest, FoldStrictlyIncreasesDelayAndEnergy) {
@@ -72,7 +79,8 @@ TEST(LayoutCostTest, FoldStrictlyIncreasesDelayAndEnergy) {
 
 TEST(LayoutCostTest, FoldMatchesHandAppliedEstimate) {
   // The model's layout path is exactly "evaluate without layout, then
-  // apply_layout_cost of the standalone estimate" — bit for bit.
+  // apply_layout_cost of the standalone closed-form estimate" — bit for
+  // bit.
   const Technology tech = Technology::tsmc28();
   const EvalConditions cond = paper_conditions();
   const EvalContext ctx(tech, cond);
@@ -80,7 +88,7 @@ TEST(LayoutCostTest, FoldMatchesHandAppliedEstimate) {
   const AnalyticCostModel on(tech, cond, nullptr, /*layout=*/true);
   const DesignPoint dp = int8_point(32, 128, 16, 8);
   MacroMetrics by_hand = off.evaluate(dp);
-  apply_layout_cost(estimate_layout_cost(ctx, build_dcim_macro(dp)), &by_hand);
+  apply_layout_cost(estimate_layout_cost(ctx, dp), &by_hand);
   expect_same_metrics(on.evaluate(dp), by_hand);
 }
 
@@ -98,10 +106,8 @@ TEST(LayoutCostTest, BatchIsBitIdenticalToScalarWithLayoutOn) {
   const Technology tech = Technology::tsmc28();
   const AnalyticCostModel on(tech, paper_conditions(), nullptr, true);
   const DesignSpace space(1 << 13, precision_int8());
-  auto points = space.enumerate_all();
+  const auto points = space.enumerate_all();
   ASSERT_FALSE(points.empty());
-  // The layout stage floorplans every point; a slice keeps this fast.
-  if (points.size() > 24) points.resize(24);
   std::vector<MacroMetrics> batched(points.size());
   on.evaluate_batch(Span<const DesignPoint>(points),
                     Span<MacroMetrics>(batched));
@@ -160,6 +166,33 @@ TEST(LayoutCostTest, MemoCrossLoadRejectedBothDirections) {
   EXPECT_EQ(on_ok.size(), 1u);
 }
 
+TEST(LayoutCostTest, MemoFromAnOlderWireModelIsRejected) {
+  // A layout memo written under wire-model version 1 carries "layout":1 in
+  // its header; the current model must refuse it rather than serve its
+  // numbers.
+  const Technology tech = Technology::tsmc28();
+  CostCache writer(make_cost_model(CostModelKind::kAnalytic, tech,
+                                   EvalConditions{}, nullptr, true));
+  (void)writer.evaluate(int8_point(32, 128, 16, 8));
+  const std::string path = temp_path("layout_v1.memo.jsonl");
+  ASSERT_TRUE(writer.save(path));
+  std::string text = test::read_file(path);
+  const std::string current =
+      "\"layout\":" + std::to_string(kLayoutCostVersion);
+  const std::size_t at = text.find(current);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_LT(at, text.find('\n'));  // in the header line
+  text.replace(at, current.size(), "\"layout\":1");
+  test::write_file(path, text);
+
+  CostCache reader(make_cost_model(CostModelKind::kAnalytic, tech,
+                                   EvalConditions{}, nullptr, true));
+  std::string error;
+  EXPECT_FALSE(reader.load(path, &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(reader.size(), 0u);
+}
+
 TEST(LayoutCostTest, RtlBackendFoldsTheSameLayoutStage) {
   const Technology tech = Technology::tsmc28();
   const EvalConditions cond = paper_conditions();
@@ -179,10 +212,14 @@ TEST(LayoutCostTest, RtlBackendFoldsTheSameLayoutStage) {
   EXPECT_GT(folded.energy_per_cycle_fj, base.energy_per_cycle_fj);
   EXPECT_EQ(folded.area_um2, base.area_um2);
 
-  // Both backends fold the same analytic wire estimate over the same
-  // elaborated netlist, so the RTL deltas equal the standalone estimate.
+  // Both backends fold the same closed-form estimate, so the RTL deltas
+  // equal the standalone estimate and the analytic model's deltas.
   const EvalContext ctx(tech, cond);
-  const LayoutCost lc = estimate_layout_cost(ctx, build_dcim_macro(dp));
+  const LayoutCost lc = estimate_layout_cost(ctx, dp);
+  const AnalyticCostModel analytic_off(tech, cond);
+  const AnalyticCostModel analytic_on(tech, cond, nullptr, true);
+  EXPECT_EQ(analytic_on.evaluate(dp).energy_per_cycle_fj,
+            analytic_off.evaluate(dp).energy_per_cycle_fj + lc.wire_energy_fj);
   EXPECT_EQ(folded.delay_ns, base.delay_ns + lc.wire_delay_ns);
   EXPECT_EQ(folded.energy_per_cycle_fj,
             base.energy_per_cycle_fj + lc.wire_energy_fj);

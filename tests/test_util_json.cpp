@@ -2,11 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "test_support.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace sega {
 namespace {
@@ -258,6 +268,127 @@ TEST(JsonAttackTest, RawBytesInStringsRoundTripWithoutCrashing) {
   if (parsed.has_value()) {
     EXPECT_NO_THROW({ (void)parsed->dump(); });
   }
+}
+
+// --- number formatting is total over finite doubles ------------------------
+
+/// The pre-strtod formatter: the byte-compatibility reference.  It threw
+/// std::out_of_range (std::stod's ERANGE) where a short candidate over- or
+/// underflowed; here that is reported through @p threw.
+std::string reference_number_to_string(double d, bool* threw) {
+  *threw = false;
+  char buf[64];
+  if (d == std::floor(d) && std::fabs(d) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", d);
+    return buf;
+  }
+  for (int prec = 1; prec <= 16; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, d);
+    errno = 0;
+    const double back = std::strtod(buf, nullptr);
+    if (errno == ERANGE) {
+      *threw = true;
+      return "";
+    }
+    if (back == d) return buf;
+  }
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  return buf;
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+/// Dump -> parse must give back the exact bit pattern; where the old
+/// formatter did not throw, the dumped bytes must be the old bytes.  Returns
+/// an empty string on success, else a description of the first failure.
+std::string check_number(double d, bool* old_threw) {
+  const std::string dumped = Json(d).dump();
+  const std::string old = reference_number_to_string(d, old_threw);
+  if (!*old_threw && dumped != old) {
+    return strfmt("bits %016llx: dumped '%s', old bytes '%s'",
+                  static_cast<unsigned long long>(bits_of(d)),
+                  dumped.c_str(), old.c_str());
+  }
+  const auto parsed = Json::parse(dumped);
+  if (!parsed || !parsed->is_number() ||
+      bits_of(parsed->as_number()) != bits_of(d)) {
+    return strfmt("bits %016llx: '%s' does not round-trip",
+                  static_cast<unsigned long long>(bits_of(d)),
+                  dumped.c_str());
+  }
+  return "";
+}
+
+TEST(JsonNumberTest, EdgeValuesDumpAndRoundTripBitExactly) {
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  int old_threw = 0;
+  for (const double d :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 1e15, -1e15, 1e15 + 1, 9007199254740993.0,
+        1e300, 1e-300, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, 1e-310, -1e-310,
+        denorm_min, -denorm_min, 4.9e-324, std::nextafter(DBL_MAX, 0.0),
+        std::nextafter(DBL_MIN, 0.0), std::nextafter(DBL_MIN, 1.0),
+        2.2250738585072014e-308, 1.7976931348623157e308}) {
+    bool threw = false;
+    EXPECT_EQ(check_number(d, &threw), "");
+    old_threw += threw ? 1 : 0;
+  }
+  // DBL_MAX, DBL_MIN, 1e-310 and 4.9e-324 (with signs) made the old
+  // formatter throw; they dump and round-trip now.
+  EXPECT_GE(old_threw, 8);
+}
+
+TEST(JsonNumberTest, RandomBitPatternsMatchOldBytesAndRoundTrip) {
+  // 512Ki random finite doubles over every exponent, subnormals and both
+  // extremes included (uniform bit patterns), checked on four threads.
+  constexpr std::size_t kValues = 512 * 1024;
+  std::vector<double> values;
+  values.reserve(kValues);
+  Rng rng(0x5ea7);
+  while (values.size() < kValues) {
+    const std::uint64_t u = rng.next_u64();
+    double d = 0.0;
+    std::memcpy(&d, &u, sizeof d);
+    if (std::isfinite(d)) values.push_back(d);
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::string> first_failure(kThreads);
+  std::vector<std::size_t> failures(kThreads, 0), threw(kThreads, 0);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t i = static_cast<std::size_t>(t); i < kValues;
+           i += kThreads) {
+        bool old_threw = false;
+        const std::string failure = check_number(values[i], &old_threw);
+        threw[t] += old_threw ? 1 : 0;
+        if (failure.empty()) continue;
+        if (failures[t]++ == 0) first_failure[t] = failure;
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  std::size_t old_threw = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0u) << first_failure[t];
+    old_threw += threw[t];
+  }
+  std::printf("[          ] %zu of %zu values made the old formatter throw\n",
+              old_threw, kValues);
+}
+
+TEST(JsonNumberTest, ParseAcceptsSubnormalsAndRejectsOverflow) {
+  ASSERT_TRUE(Json::parse("4.9406564584124654e-324").has_value());
+  EXPECT_EQ(Json::parse("4.9406564584124654e-324")->as_number(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(Json::parse("1e-310")->as_number(), 1e-310);
+  std::string error;
+  EXPECT_FALSE(Json::parse("1e400", &error).has_value());
+  EXPECT_NE(error.find("out of range"), std::string::npos);
+  EXPECT_FALSE(Json::parse("[-1e999]").has_value());
 }
 
 }  // namespace

@@ -15,6 +15,11 @@ Compares google-benchmark JSON result files against the checked-in
   **warning** — reported, never fatal, because CI runners are noisy and the
   baseline was recorded on different hardware.  Faster is always fine.
 * Benchmarks missing from the baseline are reported as new.
+* ``RATIO_GATES`` below are **within-run** ratios between two benchmarks of
+  the same results: both halves ran on the same host in the same job, so
+  the gate does not depend on the hardware the baseline was recorded on.
+  A ratio above its bound is a **failure**; a gate whose two benchmarks are
+  not both in the results is skipped (reported, not fatal).
 
 Usage::
 
@@ -32,6 +37,14 @@ import json
 import sys
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# (numerator, denominator, max ratio): fail when numerator / denominator
+# from the same results exceeds the bound.
+RATIO_GATES = [
+    # Layout-on evaluation (analytic point + closed-form wire model) within
+    # 10x of one analytic point.
+    ("BM_LayoutStage", "BM_CostModelScalar/INT8/1", 10.0),
+]
 
 
 def load_results(paths):
@@ -117,6 +130,16 @@ def main(argv):
             print(f"ok   {line}")
     for name in sorted(set(baseline) - set(current)):
         warnings.append(f"WARN {name}: in baseline but not in results")
+    for num, den, bound in RATIO_GATES:
+        if num not in current or den not in current or current[den] <= 0:
+            print(f"skip ratio {num} / {den}: not both in the results")
+            continue
+        ratio = current[num] / current[den]
+        line = f"ratio {num} / {den} = {ratio:.2f} (bound {bound:g})"
+        if ratio > bound:
+            failures.append(f"REGRESSION {line}")
+        else:
+            print(f"ok   {line}")
 
     for line in new:
         print(f"new  {line} (add with --update)")
