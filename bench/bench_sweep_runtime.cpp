@@ -112,8 +112,8 @@ void BM_SweepShardedAndMerged(benchmark::State& state) {
 
 /// Shared fixture for the resume benchmarks: a completed >= 10k-cell
 /// checkpoint (1250 wstores x 8 precisions; most cells have an empty design
-/// space, which still costs a checkpoint line and an index entry) built
-/// once, plus the reference CSV a correct resume must reproduce.  The grid
+/// space, which still costs a checkpoint line) built once, plus the
+/// reference CSV a correct resume must reproduce.  The grid
 /// uses a tiny GA so the one-time build is seconds, not hours — resume cost
 /// is parse cost, independent of how the cells were originally computed.
 struct ResumeFixture {
@@ -137,7 +137,6 @@ const ResumeFixture& resume_fixture() {
                          "sega_bench_resume.ckpt.jsonl")
                             .string();
     std::filesystem::remove(f.spec.checkpoint);
-    std::filesystem::remove(index_file_path(f.spec.checkpoint));
     const Compiler compiler(Technology::tsmc28());
     f.csv = run_sweep(compiler, f.spec).to_csv();
     f.ckpt_bytes = std::filesystem::file_size(f.spec.checkpoint);
@@ -146,9 +145,9 @@ const ResumeFixture& resume_fixture() {
   return fixture;
 }
 
-/// Resume of the complete checkpoint through the index-segment fast path:
-/// token-split the .idx, seek past the covered bytes, JSON-parse nothing.
-void BM_SweepResumeIndexed(benchmark::State& state) {
+/// Resume of the complete checkpoint: one JSONL walk of every cell line,
+/// re-deriving each knee's metrics through the cost model.
+void BM_SweepResume(benchmark::State& state) {
   const ResumeFixture& f = resume_fixture();
   const Compiler compiler(Technology::tsmc28());
   for (auto _ : state) {
@@ -158,33 +157,20 @@ void BM_SweepResumeIndexed(benchmark::State& state) {
       f.spec.wstores.size() * f.spec.precisions.size());
 }
 
-/// The same resume with the index deleted first: the full JSONL parse
-/// fallback.  The Indexed/Unindexed ratio is the price of losing the .idx.
-void BM_SweepResumeUnindexed(benchmark::State& state) {
-  const ResumeFixture& f = resume_fixture();
-  const Compiler compiler(Technology::tsmc28());
-  for (auto _ : state) {
-    // The completion snapshot rewrites the index; drop it every iteration
-    // so each resume takes the fallback path.
-    std::filesystem::remove(index_file_path(f.spec.checkpoint));
-    benchmark::DoNotOptimize(run_sweep(compiler, f.spec));
-  }
-}
-
-/// Indexed resume with the contract asserted per iteration: the CSV matches
-/// the run that built the checkpoint, and zero cells were re-evaluated (a
-/// recomputed cell would append its line and grow the file).
-void BM_SweepResumeIndexedChecked(benchmark::State& state) {
+/// The same resume with the contract asserted per iteration: the CSV
+/// matches the run that built the checkpoint, and zero cells were
+/// re-evaluated (a recomputed cell would append its line and grow the file).
+void BM_SweepResumeChecked(benchmark::State& state) {
   const ResumeFixture& f = resume_fixture();
   const Compiler compiler(Technology::tsmc28());
   for (auto _ : state) {
     const SweepResult resumed = run_sweep(compiler, f.spec);
     if (resumed.to_csv() != f.csv) {
-      state.SkipWithError("indexed resume CSV mismatch");
+      state.SkipWithError("resume CSV mismatch");
       return;
     }
     if (std::filesystem::file_size(f.spec.checkpoint) != f.ckpt_bytes) {
-      state.SkipWithError("indexed resume re-evaluated cells");
+      state.SkipWithError("resume re-evaluated cells");
       return;
     }
   }
@@ -244,9 +230,8 @@ BENCHMARK(BM_SweepGridCheckpointed)->Arg(1)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepShardedAndMerged)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SweepResumeIndexed)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SweepResumeUnindexed)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SweepResumeIndexedChecked)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepResume)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepResumeChecked)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelForStealingSkewed)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NonDominatedSortEns)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);

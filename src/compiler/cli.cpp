@@ -1,10 +1,6 @@
 #include "compiler/cli.h"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -20,7 +16,6 @@
 #include "serve/server.h"
 #include "tech/techlib_parser.h"
 #include "util/strings.h"
-#include "util/threadpool.h"
 
 namespace sega {
 
@@ -40,8 +35,7 @@ constexpr const char* kUsage =
     "          [--calibration <file>] [--layout]\n"
     "  sweep   [--spec <sweep.json>] [--out <dir>] [--checkpoint <path>]\n"
     "          [--cache-file <path>] [--resume-summary] [--shard <i/N>]\n"
-    "          [--spawn-local <K>] [--heartbeat-every <k>]\n"
-    "          [--wstores <n,n,...>]\n"
+    "          [--heartbeat-every <k>] [--wstores <n,n,...>]\n"
     "          [--precisions <name,name,...>] [--sparsity <f>]\n"
     "          [--supply <v>] [--seed <n>] [--population <n>]\n"
     "          [--generations <n>] [--threads <n>] [--tech <file.techlib>]\n"
@@ -476,7 +470,7 @@ bool parse_shard_flag(const std::map<std::string, std::string>& flags,
 }
 
 /// Write sweep.json/sweep.csv under --out (when given) and the CSV to
-/// stdout — shared by sweep, sweep --spawn-local, and sweep-merge.
+/// stdout — shared by sweep and sweep-merge.
 int write_sweep_outputs(const SweepResult& result,
                         const std::map<std::string, std::string>& flags,
                         std::ostream& out, std::ostream& err) {
@@ -503,113 +497,15 @@ int write_sweep_outputs(const SweepResult& result,
   return 0;
 }
 
-/// Fork K shard workers on this host (each computing its slice into its own
-/// checkpoint/memo shard), wait for all of them, then fan the shards back
-/// into the unified result — the zero-to-distributed path of a sweep on one
-/// machine.
-int run_spawn_local(const Compiler& compiler, const SweepSpec& spec,
-                    int workers,
-                    const std::map<std::string, std::string>& flags,
-                    std::ostream& out, std::ostream& err) {
-  std::vector<pid_t> children;
-  for (int i = 0; i < workers; ++i) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      err << "fork failed\n";
-      for (const pid_t child : children) {
-        int status = 0;
-        ::waitpid(child, &status, 0);
-      }
-      return 2;
-    }
-    if (pid == 0) {
-      // Worker process.  A positive thread count forces run_sweep to build
-      // a fresh pool: the parent's lazily created global pool object was
-      // inherited by fork but its worker threads were not, so it must never
-      // be touched here.  _Exit skips atexit/static destructors for the
-      // same reason (run_sweep has already flushed and closed its files).
-      SweepSpec worker = spec;
-      worker.shard = ShardSpec{};
-      worker.shard.index = i;
-      worker.shard.count = workers;
-      if (worker.dse.threads == 0) {
-        // Divide the host between the workers instead of oversubscribing it
-        // K-fold; an explicit --threads is per-worker and kept as given.
-        worker.dse.threads =
-            std::max(1, ThreadPool::default_threads() / workers);
-      }
-      std::string worker_error;
-      run_sweep(compiler, worker, &worker_error);
-      if (!worker_error.empty()) {
-        std::fprintf(stderr, "[sega] shard %d/%d: %s\n", i, workers,
-                     worker_error.c_str());
-        std::_Exit(2);
-      }
-      std::_Exit(0);
-    }
-    children.push_back(pid);
-  }
-  bool worker_failed = false;
-  for (int i = 0; i < workers; ++i) {
-    int status = 0;
-    pid_t waited;
-    do {
-      waited = ::waitpid(children[i], &status, 0);
-    } while (waited < 0 && errno == EINTR);
-    // A wait that failed outright (ECHILD — someone reaped the child first)
-    // must count as a worker failure: treating an unknown outcome as
-    // success would merge a possibly half-written shard.
-    if (waited != children[i] || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      err << strfmt("shard %d/%d worker failed\n", i, workers);
-      worker_failed = true;
-    }
-  }
-  if (worker_failed) return 2;
-  std::string merge_error;
-  const SweepResult merged =
-      merge_sweep_shards(compiler, spec, workers, &merge_error);
-  if (!merge_error.empty()) {
-    err << merge_error << "\n";
-    return 2;
-  }
-  return write_sweep_outputs(merged, flags, out, err);
-}
-
 /// The full §IV validation grid (or a subset), run on the parallel sweep
 /// engine with optional JSONL checkpoint/resume, optionally as one shard of
-/// an N-worker set (--shard) or as a K-process local fleet (--spawn-local).
+/// an N-worker set (--shard).
 /// CSV goes to stdout; --out additionally writes sweep.json and sweep.csv.
 int cmd_sweep(const std::map<std::string, std::string>& flags,
               std::ostream& out, std::ostream& err, const CliHooks& hooks) {
   SweepSpec spec;
   if (!build_sweep_spec(flags, &spec, err)) return 2;
   if (!parse_shard_flag(flags, &spec, err)) return 2;
-
-  int spawn_local = 0;
-  if (flags.count("spawn-local")) {
-    if (!parse_int_strict(flags.at("spawn-local"), &spawn_local)) {
-      err << "bad numeric option value\n";
-      return 2;
-    }
-    if (spawn_local < 1) {
-      err << "option value out of range\n";
-      return 2;
-    }
-    if (flags.count("shard") || spec.shard.active()) {
-      err << "--spawn-local and --shard are mutually exclusive\n";
-      return 2;
-    }
-    if (flags.count("resume-summary")) {
-      err << "--spawn-local and --resume-summary are mutually exclusive\n";
-      return 2;
-    }
-    if (spec.checkpoint.empty()) {
-      err << "--spawn-local requires --checkpoint (the shard files are the "
-             "fan-in)\n";
-      return 2;
-    }
-  }
 
   const auto tech = load_technology(flags, hooks, err);
   if (!tech) return 2;
@@ -630,10 +526,6 @@ int cmd_sweep(const std::map<std::string, std::string>& flags,
             : spec.checkpoint;
     out << summary->render(shown);
     return 0;
-  }
-
-  if (spawn_local > 0) {
-    return run_spawn_local(compiler, spec, spawn_local, flags, out, err);
   }
 
   spec.shared_cache = shared_cache_for(hooks, spec.cost_model,
@@ -1018,11 +910,10 @@ int run_cli_hooked(const std::vector<std::string>& args, std::ostream& out,
   if (command == "sweep") {
     if (!check_known(flags,
                      {"spec", "out", "checkpoint", "cache-file",
-                      "resume-summary", "shard", "spawn-local",
-                      "heartbeat-every", "wstores", "precisions", "sparsity",
-                      "supply", "seed", "population", "generations",
-                      "threads", "tech", "cost-model", "calibration",
-                      "layout"},
+                      "resume-summary", "shard", "heartbeat-every",
+                      "wstores", "precisions", "sparsity", "supply", "seed",
+                      "population", "generations", "threads", "tech",
+                      "cost-model", "calibration", "layout"},
                      err)) {
       return 2;
     }

@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -483,7 +482,7 @@ SweepResult checkpoint_fail(const std::string& msg, std::string* error) {
 /// Stream a checkpoint's non-empty lines.  The first is handed to
 /// @p on_header (nullopt when unparseable); its return decides whether the
 /// cell lines are read at all.  Every later line goes to @p on_line
-/// (nullopt when unparseable).  Both resume and --resume-summary read
+/// (nullopt when unparseable).  Resume, merge and --resume-summary read
 /// checkpoints through this one walker, so the line protocol cannot drift
 /// between them.  Returns false only when the file cannot be opened;
 /// *saw_header reports whether any content line existed (a file killed
@@ -541,272 +540,13 @@ bool parse_double(const std::string& s, double* out) {
   return true;
 }
 
-/// First non-empty line of @p path, raw bytes (no trailing newline).
-/// Returns false only when the file cannot be opened; a readable file with
-/// no content lines leaves *out empty.
-bool read_first_content_line(const std::string& path, std::string* out) {
-  out->clear();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    *out = line;
-    return true;
-  }
-  return true;
-}
-
-// --------------------------------------------------------- index segment
-//
-// `<checkpoint>.idx` — a compact sidecar so resume seeks instead of
-// re-parsing every checkpoint JSONL line (normative spec: docs/FORMATS.md):
-//
-//   sega_sweep_idx 1 <ckpt_bytes> <header_fnv> <cell_count>
-//   ranges <a>-<b>,<c>,...
-//   cell <id> <wstore> <precision> <front> <evals> <n> <h> <l> <k> <sw> <pt>
-//   ...
-//   sum <fnv>
-//
-// <ckpt_bytes> is the checkpoint size the index reflects — resume
-// JSON-parses only the bytes past it (lines appended after the index was
-// written).  <header_fnv> is the FNV-1a of the checkpoint's raw header
-// line, binding the index to this exact file, not merely this
-// configuration.  The trailing sum is an FNV-1a over every preceding byte.
-// The index is an *optimization only*: any staleness or integrity signal —
-// wrong magic, bad checksum, checkpoint shorter than <ckpt_bytes>, header
-// mismatch, a payload that fails grid/shard/design validation — makes the
-// reader fall back to the full JSONL parse, which recovers identical state.
-
-std::uint32_t fnv1a(const char* data, std::size_t size) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 16777619u;
-  }
-  return h;
-}
-
-/// The "ranges" line for a sorted id list: merged ascending spans
-/// ("0-5,7,9-11"), "-" when empty so the line always has two tokens.
-std::string render_ranges(const std::vector<std::size_t>& ids) {
-  if (ids.empty()) return "ranges -";
-  std::string r;
-  std::size_t start = ids[0];
-  std::size_t prev = ids[0];
-  const auto flush = [&]() {
-    if (!r.empty()) r += ',';
-    r += start == prev ? strfmt("%zu", start) : strfmt("%zu-%zu", start, prev);
-  };
-  for (std::size_t i = 1; i < ids.size(); ++i) {
-    if (ids[i] == prev + 1) {
-      prev = ids[i];
-    } else {
-      flush();
-      start = prev = ids[i];
-    }
-  }
-  flush();
-  return "ranges " + r;
-}
-
-std::string index_render(const std::string& header_raw,
-                         std::uint64_t ckpt_bytes,
-                         const std::vector<GridCell>& grid,
-                         const std::vector<char>& done,
-                         const std::vector<RecoveredCell>& slots) {
-  std::vector<std::size_t> ids;
-  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    if (done[gi]) ids.push_back(gi);
-  }
-  std::string body =
-      strfmt("sega_sweep_idx 1 %llu %u %zu\n",
-             static_cast<unsigned long long>(ckpt_bytes),
-             fnv1a(header_raw.data(), header_raw.size()), ids.size());
-  body += render_ranges(ids);
-  body += '\n';
-  for (const std::size_t gi : ids) {
-    const RecoveredCell& rc = slots[gi];
-    const DesignPoint& dp = rc.cell.knee.point;
-    body += strfmt(
-        "cell %zu %lld %s %zu %lld %lld %lld %lld %lld %d %d\n", gi,
-        static_cast<long long>(grid[gi].wstore),
-        grid[gi].precision.name.c_str(), rc.empty ? 0 : rc.cell.front_size,
-        static_cast<long long>(rc.empty ? 0 : rc.cell.evaluations),
-        static_cast<long long>(rc.empty ? 0 : dp.n),
-        static_cast<long long>(rc.empty ? 0 : dp.h),
-        static_cast<long long>(rc.empty ? 0 : dp.l),
-        static_cast<long long>(rc.empty ? 0 : dp.k),
-        rc.empty ? 0 : (dp.signed_weights ? 1 : 0),
-        rc.empty ? 0 : (dp.pipelined_tree ? 1 : 0));
-  }
-  body += strfmt("sum %u\n", fnv1a(body.data(), body.size()));
-  return body;
-}
-
-/// Atomic write of an index segment.  Warn-only on failure: the index is a
-/// resume accelerator, never data of record — losing it costs a full parse
-/// on the next resume, nothing else.
-void index_write(const std::string& path, const std::string& body) {
-  const std::string tmp =
-      strfmt("%s.tmp.%d", path.c_str(), static_cast<int>(::getpid()));
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "[sega] warning: cannot write index segment '%s'\n",
-                   tmp.c_str());
-      return;
-    }
-    f << body;
-    f.flush();
-    if (!f) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      std::fprintf(stderr, "[sega] warning: write to index segment '%s' "
-                           "failed\n",
-                   tmp.c_str());
-      return;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    std::fprintf(stderr, "[sega] warning: cannot rename index segment '%s' "
-                         "into place\n",
-                 path.c_str());
-  }
-}
-
-/// Validate and decode an index segment against the checkpoint it claims to
-/// describe.  On success fills @p out with the recovered cells (metrics NOT
-/// derived — the caller re-derives them through the cost model, same as the
-/// JSONL path) and @p tail_offset with the checkpoint byte offset to resume
-/// JSON parsing from.  Any failure returns false — the caller falls back to
-/// the full parse, so this function never needs to report *why*.
-bool index_load(const std::string& idx_path, const std::string& header_raw,
-                std::uint64_t ckpt_size, const SweepSpec& spec,
-                const std::vector<GridCell>& grid,
-                std::vector<std::pair<std::size_t, RecoveredCell>>* out,
-                std::uint64_t* tail_offset) {
-  out->clear();
-  std::ifstream in(idx_path, std::ios::binary);
-  if (!in) return false;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (content.empty() || content.back() != '\n') return false;
-
-  // Integrity first: the last line must be `sum <fnv>` over all bytes
-  // before it.  A truncated or bit-flipped index can never pass.
-  const std::size_t prev_nl = content.rfind('\n', content.size() - 2);
-  const std::size_t body_end = prev_nl == std::string::npos ? 0 : prev_nl + 1;
-  const std::string sum_line =
-      content.substr(body_end, content.size() - body_end - 1);
-  const auto sum_tok = split(sum_line, ' ');
-  unsigned long long stored_sum = 0;
-  if (sum_tok.size() != 2 || sum_tok[0] != "sum" ||
-      !parse_ull(sum_tok[1], &stored_sum) ||
-      stored_sum != fnv1a(content.data(), body_end)) {
-    return false;
-  }
-
-  std::vector<std::string> lines;
-  {
-    std::size_t pos = 0;
-    while (pos < body_end) {
-      const std::size_t nl = content.find('\n', pos);
-      lines.push_back(content.substr(pos, nl - pos));
-      pos = nl + 1;
-    }
-  }
-  if (lines.size() < 2) return false;
-
-  const auto head = split(lines[0], ' ');
-  unsigned long long ckpt_bytes = 0;
-  unsigned long long header_fnv = 0;
-  unsigned long long cell_count = 0;
-  if (head.size() != 5 || head[0] != "sega_sweep_idx" || head[1] != "1" ||
-      !parse_ull(head[2], &ckpt_bytes) || !parse_ull(head[3], &header_fnv) ||
-      !parse_ull(head[4], &cell_count)) {
-    return false;
-  }
-  // Staleness: the index must describe a prefix of THIS checkpoint file.
-  // A replaced checkpoint (different header) or one shorter than the index
-  // claims (rewritten, truncated) invalidates it.
-  if (header_fnv != fnv1a(header_raw.data(), header_raw.size())) return false;
-  if (ckpt_bytes > ckpt_size) return false;
-  if (cell_count != lines.size() - 2) return false;
-
-  std::vector<std::size_t> ids;
-  std::vector<char> seen(grid.size(), 0);
-  for (std::size_t li = 2; li < lines.size(); ++li) {
-    const auto tok = split(lines[li], ' ');
-    if (tok.size() != 12 || tok[0] != "cell") return false;
-    unsigned long long id = 0;
-    long long wstore = 0;
-    long long front = 0;
-    long long evals = 0;
-    long long n = 0, h = 0, l = 0, k = 0, sw = 0, pt = 0;
-    if (!parse_ull(tok[1], &id) || !parse_ll(tok[2], &wstore) ||
-        !parse_ll(tok[4], &front) || !parse_ll(tok[5], &evals) ||
-        !parse_ll(tok[6], &n) || !parse_ll(tok[7], &h) ||
-        !parse_ll(tok[8], &l) || !parse_ll(tok[9], &k) ||
-        !parse_ll(tok[10], &sw) || !parse_ll(tok[11], &pt)) {
-      return false;
-    }
-    // Every payload re-earns its place: it must name a cell of this grid,
-    // owned by this shard, not yet seen, and (when non-empty) carry a knee
-    // that is a valid member of the cell's design space — exactly the
-    // acceptance rules of the JSONL recovery path.
-    if (id >= grid.size() || seen[id] || !spec.shard.owns(id)) return false;
-    if (grid[id].wstore != wstore || grid[id].precision.name != tok[3]) {
-      return false;
-    }
-    seen[id] = 1;
-    ids.push_back(id);
-    RecoveredCell rc;
-    rc.cell.wstore = wstore;
-    rc.cell.precision = grid[id].precision;
-    if (front == 0) {
-      rc.empty = true;
-    } else {
-      if (front < 0 || evals < 1 || (sw != 0 && sw != 1) ||
-          (pt != 0 && pt != 1)) {
-        return false;
-      }
-      rc.empty = false;
-      rc.cell.front_size = static_cast<std::size_t>(front);
-      rc.cell.evaluations = evals;
-      DesignPoint dp;
-      dp.precision = grid[id].precision;
-      dp.arch = arch_for(dp.precision);
-      dp.n = n;
-      dp.h = h;
-      dp.l = l;
-      dp.k = k;
-      dp.signed_weights = sw == 1;
-      dp.pipelined_tree = pt == 1;
-      if (!validate_design(dp, wstore, spec.limits).ok) return false;
-      rc.cell.knee.point = dp;
-    }
-    out->emplace_back(static_cast<std::size_t>(id), std::move(rc));
-  }
-  // The ranges line must reproduce from the payloads — one more internal
-  // consistency check, and it keeps the line honest for human readers.
-  std::vector<std::size_t> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  if (lines[1] != render_ranges(sorted)) return false;
-  *tail_offset = ckpt_bytes;
-  return true;
-}
-
 // ------------------------------------------------------- fault injection
 //
 // SEGA_SWEEP_FAULT=<kill|stall>-after:<k>[:prob=<p>][:seed=<s>][:attempts=<n>]
 //
 // First-class crash testing for the supervised sweep: after its k-th
 // completed cell (this run, recovered cells excluded) the worker persists
-// its progress snapshot (heartbeat, memo delta, index) and then either
+// its progress snapshot (heartbeat, memo delta) and then either
 // _Exit(86)s (kill) or sleeps forever holding the checkpoint mutex (stall —
 // wedging every worker thread, the pathology the orchestrator's stall
 // timeout exists for).  Whether the fault *arms* at all is a deterministic
@@ -948,8 +688,8 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
 
   if (spec.heartbeat_every > 0 && ckpt_path.empty()) {
     return checkpoint_fail(
-        "heartbeat_every requires a checkpoint (the heartbeat and index "
-        "files sit next to it)",
+        "heartbeat_every requires a checkpoint (the heartbeat file sits "
+        "next to it)",
         error);
   }
 
@@ -1024,7 +764,6 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
   std::map<CellKey, RecoveredCell> recovered;
   std::unique_ptr<std::ofstream> ckpt;
   std::mutex ckpt_mu;
-  std::string ckpt_header_raw;  // raw header line, for index staleness binding
   if (!ckpt_path.empty()) {
     bool have_header = false;
     std::error_code ec;
@@ -1034,66 +773,30 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
       // from a different sweep or a different slice of the grid must never
       // be mixed in.  Cell lines tolerate truncation/corruption (a killed
       // writer may leave a partial tail) by simply recomputing those cells.
-      // The header is read and checked up front (one line — cheap); what
-      // the index fast path below skips is the *cell line* parsing.
-      if (!read_first_content_line(ckpt_path, &ckpt_header_raw)) {
-        return checkpoint_fail(
-            strfmt("cannot read checkpoint '%s'", ckpt_path.c_str()), error);
-      }
       HeaderCheck verdict = HeaderCheck::kOk;
-      if (!ckpt_header_raw.empty()) {
-        have_header = true;
-        verdict = check_header(Json::parse(ckpt_header_raw), spec,
-                               compiler.technology(), calibration.get(),
-                               spec.shard);
-      }
-      if (have_header && verdict == HeaderCheck::kOk) {
-        const auto consume = [&](const std::optional<Json>& line) {
-          if (!line) return;
-          RecoveredCell rc;
-          if (!recover_cell(*line, spec, &rc)) return;
-          // Metrics are never stored in the checkpoint: re-derive them
-          // through the pure cost model so recovery is bit-exact and
-          // immune to serialization rounding.
-          if (!rc.empty) {
-            rc.cell.knee.metrics = cache.evaluate(rc.cell.knee.point);
-          }
-          recovered[CellKey{rc.cell.wstore, rc.cell.precision.name}] =
-              std::move(rc);
-        };
-        // Index fast path: a valid index segment replaces the JSONL parse
-        // of every cell line it covers; only the tail appended after the
-        // index was written is parsed.  Both paths recover identical state
-        // — the index is dropped on any staleness signal, never trusted
-        // over the checkpoint.
-        std::error_code size_ec;
-        const auto ckpt_size = std::filesystem::file_size(ckpt_path, size_ec);
-        std::vector<std::pair<std::size_t, RecoveredCell>> indexed;
-        std::uint64_t tail_offset = 0;
-        if (!size_ec &&
-            index_load(index_file_path(ckpt_path), ckpt_header_raw, ckpt_size,
-                       spec, grid, &indexed, &tail_offset)) {
-          for (auto& [gi, rc] : indexed) {
-            (void)gi;
+      const bool readable = walk_checkpoint(
+          ckpt_path, &have_header,
+          [&](const std::optional<Json>& header) {
+            verdict = check_header(header, spec, compiler.technology(),
+                                   calibration.get(), spec.shard);
+            return verdict == HeaderCheck::kOk;
+          },
+          [&](const std::optional<Json>& line) {
+            if (!line) return;
+            RecoveredCell rc;
+            if (!recover_cell(*line, spec, &rc)) return;
+            // Metrics are never stored in the checkpoint: re-derive them
+            // through the pure cost model so recovery is bit-exact and
+            // immune to serialization rounding.
             if (!rc.empty) {
               rc.cell.knee.metrics = cache.evaluate(rc.cell.knee.point);
             }
             recovered[CellKey{rc.cell.wstore, rc.cell.precision.name}] =
                 std::move(rc);
-          }
-          std::ifstream tail(ckpt_path, std::ios::binary);
-          tail.seekg(static_cast<std::streamoff>(tail_offset));
-          std::string line;
-          while (std::getline(tail, line)) {
-            if (trim(line).empty()) continue;
-            consume(Json::parse(line));
-          }
-        } else {
-          bool walked_header = false;
-          walk_checkpoint(ckpt_path, &walked_header,
-                          [](const std::optional<Json>&) { return true; },
-                          consume);
-        }
+          });
+      if (!readable) {
+        return checkpoint_fail(
+            strfmt("cannot read checkpoint '%s'", ckpt_path.c_str()), error);
       }
       if (verdict == HeaderCheck::kMalformed) {
         return checkpoint_fail(
@@ -1138,9 +841,9 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
     }
     if (needs_leading_newline) *ckpt << '\n';
     if (!have_header) {
-      ckpt_header_raw =
-          header_line(spec, compiler.technology(), calibration.get()).dump();
-      *ckpt << ckpt_header_raw << '\n';
+      *ckpt << header_line(spec, compiler.technology(), calibration.get())
+                   .dump()
+            << '\n';
       ckpt->flush();
     }
   }
@@ -1152,7 +855,6 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
   std::vector<std::size_t> mine;
   std::vector<std::size_t> todo;  // owned cells not covered by recovery
   std::vector<RecoveredCell> slots(grid.size());
-  std::vector<char> done(grid.size(), 0);  // recovered or completed this run
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
     if (!spec.shard.owns(gi)) continue;
     mine.push_back(gi);
@@ -1160,7 +862,6 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
         CellKey{grid[gi].wstore, grid[gi].precision.name});
     if (it != recovered.end()) {
       slots[gi] = it->second;
-      done[gi] = 1;
     } else {
       todo.push_back(gi);
     }
@@ -1186,8 +887,7 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
     memo_saved_size = size;
   };
   std::ofstream hb;
-  std::size_t done_owned = 0;
-  for (const std::size_t gi : mine) done_owned += done[gi] ? 1 : 0;
+  std::size_t done_owned = mine.size() - todo.size();
   if (spec.heartbeat_every > 0) {
     hb.open(heartbeat_file_path(ckpt_path), std::ios::app);
     if (!hb) {
@@ -1197,9 +897,9 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
           error);
     }
   }
-  // One progress snapshot: heartbeat line (supervisor liveness), memo delta
-  // (evaluations survive a kill), index segment (resume seeks, not parses).
-  // Caller holds ckpt_mu when worker threads are live.
+  // One progress snapshot: heartbeat line (supervisor liveness) and memo
+  // delta (evaluations survive a kill).  Caller holds ckpt_mu when worker
+  // threads are live.
   const auto snapshot = [&]() {
     if (hb.is_open()) {
       Json line = Json::object();
@@ -1210,22 +910,10 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
       hb.flush();
     }
     persist_memo();
-    if (ckpt) {
-      // Every checkpoint line is flushed as it is appended, so the file
-      // size is exactly the prefix this index covers.
-      ckpt->flush();
-      std::error_code size_ec;
-      const auto bytes = std::filesystem::file_size(ckpt_path, size_ec);
-      if (!size_ec) {
-        index_write(index_file_path(ckpt_path),
-                    index_render(ckpt_header_raw, bytes, grid, done, slots));
-      }
-    }
   };
   if (spec.heartbeat_every > 0) {
     // Starting snapshot: the supervisor sees a live worker before the first
-    // (possibly long) cell completes, and a resumed worker re-covers its
-    // recovered cells in the index immediately.
+    // (possibly long) cell completes.
     snapshot();
   }
   std::atomic<long long> completions{0};
@@ -1312,7 +1000,6 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
       *ckpt << line << '\n';
       ckpt->flush();
       if (spec.progress) spec.progress(record);
-      done[gi] = 1;
       ++done_owned;
       const long long completed = ++completions;
       if (spec.heartbeat_every > 0 &&
@@ -1341,15 +1028,8 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
   // simply re-pays the evaluations.  (Loading a bad memo stays a hard
   // error — that would corrupt results; failing to write one cannot.)
   //
-  // The completion snapshot also leaves a final heartbeat line and an index
-  // segment covering every completed cell — the next resume of this
-  // checkpoint parses zero JSONL cell lines.
-  if (ckpt) {
-    std::lock_guard<std::mutex> lock(ckpt_mu);
-    snapshot();
-  } else {
-    persist_memo();
-  }
+  // The completion snapshot also leaves a final heartbeat line.
+  snapshot();
 
   // --- fold in fixed grid order ---
   // Always grid order (Wstore-major, precisions in spec order), never
@@ -1575,16 +1255,6 @@ SweepResult merge_sweep_shards(const Compiler& compiler, const SweepSpec& spec,
                spec.checkpoint.c_str()),
         error);
   }
-  // Unified index segment: the merged checkpoint covers the whole grid, so
-  // a later unsharded resume recovers every cell from the index without
-  // parsing a single JSONL cell line.
-  {
-    const std::vector<char> all_done(grid.size(), 1);
-    const std::string header_raw = text.substr(0, text.find('\n'));
-    index_write(index_file_path(spec.checkpoint),
-                index_render(header_raw, text.size(), grid, all_done, slots));
-  }
-
   // --- unified memo save (warn-only, like run_sweep's save) ---
   if (!spec.cache_file.empty()) {
     std::string cache_error;

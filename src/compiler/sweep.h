@@ -110,16 +110,14 @@ struct SweepSpec {
 
   /// Liveness/progress cadence (spec key "heartbeat_every", CLI
   /// --heartbeat-every): every K completed cells the worker appends one
-  /// liveness line to `<effective checkpoint>.hb` (heartbeat_file_path),
-  /// persists its cost-memo delta, and rewrites the checkpoint's index
-  /// segment `<effective checkpoint>.idx` (index_file_path) — so a worker
-  /// killed at any point leaves at most K cells' worth of cache evaluations
-  /// and index coverage unpersisted, and the orchestrate supervisor can
-  /// watch the .hb file to detect a stalled worker.  0 (the default)
-  /// disables the cadence; the heartbeat/index/memo snapshot then happens
-  /// only at completion.  Requires a checkpoint (the .hb/.idx paths derive
-  /// from it).  Not result-affecting — excluded from the config
-  /// fingerprint, like threads.
+  /// liveness line to `<effective checkpoint>.hb` (heartbeat_file_path) and
+  /// persists its cost-memo delta — so a worker killed at any point leaves
+  /// at most K cells' worth of cache evaluations unpersisted, and the
+  /// orchestrate supervisor can watch the .hb file to detect a stalled
+  /// worker.  0 (the default) disables the cadence; the heartbeat/memo
+  /// snapshot then happens only at completion.  Requires a checkpoint (the
+  /// .hb path derives from it).  Not result-affecting — excluded from the
+  /// config fingerprint, like threads.
   int heartbeat_every = 0;
 
   /// Observational hooks for an embedding host (the `sega_dcim serve`
@@ -202,20 +200,15 @@ struct SweepResult {
 /// warns on stderr: the computed sweep is the primary product and is still
 /// returned.
 ///
-/// Resume fast path: when the checkpoint has a valid index segment
-/// (`<checkpoint>.idx`, written at heartbeats and at completion), recovery
-/// reads the compact per-cell payloads from the index and JSON-parses only
-/// the checkpoint lines appended after the index was written, instead of
-/// re-parsing every JSONL line.  Any staleness signal — header mismatch,
-/// the checkpoint shorter than the index claims, a bad index checksum, a
-/// payload that fails validation — silently falls back to the full parse;
-/// the two paths recover identical state by construction.
+/// Resume walks the checkpoint's JSONL lines once: every line that passes
+/// its checksum and validates against the grid is a recovered cell; the
+/// cells of every other line are recomputed.
 ///
 /// Fault injection (CI chaos testing): the SEGA_SWEEP_FAULT environment
 /// variable `kill-after:<k>` / `stall-after:<k>` (optional
 /// `:prob=<p>`/`:seed=<s>`/`:attempts=<n>` suffixes, see docs/TESTING.md)
 /// makes the worker _Exit(86) or hang forever after its k-th completed
-/// cell, after persisting its memo delta/heartbeat/index — the crash the
+/// cell, after persisting its memo delta/heartbeat — the crash the
 /// orchestrate supervisor must recover from.  The fault arms only when the
 /// SEGA_SWEEP_ATTEMPT ordinal (set by the supervisor per retry) is below
 /// `attempts`, so retried workers run clean.  A malformed SEGA_SWEEP_FAULT

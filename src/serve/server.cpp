@@ -31,12 +31,11 @@ bool command_rejected(const std::string& command) {
 }
 
 /// Flags that would give one request a private environment (its own
-/// technology or memo files) or fork worker processes — both incompatible
-/// with shared resident state.  The client never forwards them; rejecting
+/// technology or memo files) or a slice of another process's sweep — both
+/// incompatible with shared resident state.  The client never forwards them; rejecting
 /// them here too keeps hand-written clients honest.
 const char* const kRejectedFlags[] = {"--tech", "--cache-file",
-                                      "--rtl-cache-file", "--spawn-local",
-                                      "--shard"};
+                                      "--rtl-cache-file", "--shard"};
 
 bool run_request_allowed(const std::vector<std::string>& argv,
                          std::string* reject) {

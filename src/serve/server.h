@@ -19,9 +19,8 @@
 // standalone binary — so a daemon response is byte-identical to
 // `--no-daemon` output by construction.  Commands that would give the
 // daemon a private environment (--tech, --cache-file, --rtl-cache-file) or
-// process-level semantics (--spawn-local, --shard, orchestrate,
-// sweep-merge, memo-compact, serve) are rejected; the thin client runs
-// those in-process instead.
+// process-level semantics (--shard, orchestrate, sweep-merge, memo-compact,
+// serve) are rejected; the thin client runs those in-process instead.
 //
 // Memo persistence: with ServeOptions::cache_file set, each per-config
 // cache seeds from that base memo (entries marked imported) plus its own

@@ -122,10 +122,6 @@ std::string shard_file_path(const std::string& base, int index, int count) {
   return strfmt("%s.shard-%d-of-%d", base.c_str(), index, count);
 }
 
-std::string index_file_path(const std::string& checkpoint) {
-  return checkpoint + ".idx";
-}
-
 std::string heartbeat_file_path(const std::string& checkpoint) {
   return checkpoint + ".hb";
 }

@@ -43,12 +43,6 @@ bool starts_with(const std::string& s, const std::string& prefix);
 /// Requires count >= 1 and 0 <= index < count.
 std::string shard_file_path(const std::string& base, int index, int count);
 
-/// `<checkpoint>.idx`: the index segment sitting next to a sweep checkpoint
-/// (unsharded base file or one shard file) — completed-cell-id ranges plus
-/// compact per-cell payloads so resume seeks instead of re-parsing every
-/// JSONL line (docs/FORMATS.md).
-std::string index_file_path(const std::string& checkpoint);
-
 /// `<checkpoint>.hb`: the heartbeat file a sweep worker appends liveness
 /// lines to (one per K completed cells); the orchestrate supervisor watches
 /// it to detect stalled workers (docs/FORMATS.md).

@@ -501,43 +501,6 @@ TEST_F(CliTempDir, ValidateSpecFileRoundTrip) {
   EXPECT_NE(bad.err.find("tolerence"), std::string::npos);
 }
 
-TEST_F(CliTempDir, SpawnLocalForksWorkersAndMatchesPlainSweep) {
-  const std::vector<std::string> grid = {
-      "--wstores", "4096,8192", "--precisions", "INT8",
-      "--population", "24", "--generations", "8", "--seed", "2"};
-  std::vector<std::string> plain = {"sweep"};
-  plain.insert(plain.end(), grid.begin(), grid.end());
-  const CliRun reference = cli(plain);
-  ASSERT_EQ(reference.code, 0) << reference.err;
-
-  const std::string ckpt = (dir_ / "spawn.ckpt").string();
-  std::vector<std::string> spawned = {"sweep", "--spawn-local", "2",
-                                      "--checkpoint", ckpt};
-  spawned.insert(spawned.end(), grid.begin(), grid.end());
-  const CliRun r = cli(spawned);
-  ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_EQ(reference.out, r.out);
-  // The workers' shard files and the merged unified checkpoint all exist.
-  EXPECT_TRUE(std::filesystem::exists(ckpt));
-  EXPECT_TRUE(std::filesystem::exists(ckpt + ".shard-0-of-2"));
-  EXPECT_TRUE(std::filesystem::exists(ckpt + ".shard-1-of-2"));
-
-  // Guard rails.
-  EXPECT_EQ(cli({"sweep", "--wstores", "4096", "--precisions", "INT8",
-                 "--spawn-local", "2"})
-                .code,
-            2);  // no --checkpoint
-  EXPECT_EQ(cli({"sweep", "--wstores", "4096", "--precisions", "INT8",
-                 "--spawn-local", "2", "--shard", "0/2", "--checkpoint",
-                 ckpt})
-                .code,
-            2);  // exclusive with --shard
-  EXPECT_EQ(cli({"sweep", "--wstores", "4096", "--precisions", "INT8",
-                 "--spawn-local", "0", "--checkpoint", ckpt})
-                .code,
-            2);  // K >= 1
-}
-
 TEST_F(CliTempDir, OrchestrateSupervisesWorkersAndWritesReport) {
   const std::vector<std::string> grid = {
       "--wstores", "4096,8192", "--precisions", "INT8",
@@ -656,7 +619,8 @@ TEST_F(CliTempDir, SweepHeartbeatFlagValidation) {
                         "--checkpoint", (dir_ / "hb.ckpt").string()});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_TRUE(std::filesystem::exists(dir_ / "hb.ckpt.hb"));
-  EXPECT_TRUE(std::filesystem::exists(dir_ / "hb.ckpt.idx"));
+  // The heartbeat is the only sidecar: no index file next to the checkpoint.
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "hb.ckpt.idx"));
 }
 
 }  // namespace

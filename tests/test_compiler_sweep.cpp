@@ -6,9 +6,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -192,8 +194,9 @@ TEST_F(SweepCheckpointTest, ResumeAfterKillCompletesAndMatches) {
     EXPECT_EQ(full.to_json().dump(2), resumed.to_json().dump(2))
         << "killed after " << k;
     // The resumed file covers the whole grid again: the torn line is dead
-    // weight, every missing cell was recomputed and appended.
-    EXPECT_GE(lines_of(partial).size(), 1u + 4u) << "killed after " << k;
+    // weight (parsed, never taken for a cell), and exactly the missing
+    // cells were recomputed and appended — none of the k recovered ones.
+    EXPECT_EQ(lines_of(partial).size(), 1u + 4u + 1u) << "killed after " << k;
   }
 }
 
@@ -1079,38 +1082,19 @@ TEST_F(SweepResumeSummaryTest, ErrorsOnMissingFileOrHeader) {
   EXPECT_NE(error.find("header"), std::string::npos);
 }
 
-// --- index segments + heartbeats --------------------------------------------
+// --- heartbeats, mid-run resume, stray index files -------------------------
 
-using SweepIndexTest = SweepCheckpointTest;
+using SweepHeartbeatTest = SweepCheckpointTest;
 
-TEST_F(SweepIndexTest, IndexAndHeartbeatWrittenAtCompletion) {
+TEST_F(SweepHeartbeatTest, HeartbeatIsMonotoneAndReachesTotal) {
   const Compiler compiler(Technology::tsmc28());
   SweepSpec spec = small_sweep();
-  spec.checkpoint = ckpt("idx.jsonl");
+  spec.checkpoint = ckpt("hb.jsonl");
   spec.heartbeat_every = 1;
   std::string error;
   const SweepResult result = run_sweep(compiler, spec, &error);
   ASSERT_TRUE(error.empty()) << error;
   ASSERT_EQ(result.cells.size(), 4u);
-
-  // Index segment: magic header, one `cell` line per completed cell, a
-  // trailing checksum, and a byte count matching the checkpoint.
-  const std::string idx = test::read_file(index_file_path(spec.checkpoint));
-  EXPECT_EQ(idx.rfind("sega_sweep_idx 1 ", 0), 0u);
-  std::size_t cell_lines = 0;
-  for (std::size_t pos = idx.find("\ncell "); pos != std::string::npos;
-       pos = idx.find("\ncell ", pos + 1)) {
-    ++cell_lines;
-  }
-  EXPECT_EQ(cell_lines, 4u);
-  EXPECT_NE(idx.find("\nranges 0-3\n"), std::string::npos);
-  EXPECT_NE(idx.find("\nsum "), std::string::npos);
-  const auto head = split(idx.substr(0, idx.find('\n')), ' ');
-  ASSERT_EQ(head.size(), 5u);
-  EXPECT_EQ(head[1], "1");
-  EXPECT_EQ(head[2],
-            std::to_string(std::filesystem::file_size(spec.checkpoint)));
-  EXPECT_EQ(head[4], "4");
 
   // Heartbeat file: JSON lines with monotone `done` reaching `total`.
   const auto hb_lines =
@@ -1126,12 +1110,18 @@ TEST_F(SweepIndexTest, IndexAndHeartbeatWrittenAtCompletion) {
     EXPECT_EQ(j->at("total").as_int(), 4);
   }
   EXPECT_EQ(prev_done, 4);
+  // The checkpoint and its heartbeat are the only files a sweep leaves.
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_.path())) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"hb.jsonl", "hb.jsonl.hb"}));
 }
 
-TEST_F(SweepIndexTest, IndexedResumeDoesNotReparseCoveredLines) {
-  // A genuine mid-run checkpoint + index, produced the way production makes
-  // them: a forked worker snapshotting every cell, killed by fault
-  // injection after two.
+TEST_F(SweepCheckpointTest, MidRunCheckpointOfAKilledWorkerResumesInPlace) {
+  // A genuine mid-run checkpoint, produced the way production makes one: a
+  // forked worker snapshotting every cell, killed by fault injection after
+  // two.
   const Compiler compiler(Technology::tsmc28());
   const SweepResult full = run_sweep(compiler, small_sweep());
   SweepSpec spec = small_sweep();
@@ -1150,129 +1140,40 @@ TEST_F(SweepIndexTest, IndexedResumeDoesNotReparseCoveredLines) {
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), 86);
-  ASSERT_EQ(lines_of(spec.checkpoint).size(), 3u);  // header + 2 cells
+  const auto killed = lines_of(spec.checkpoint);
+  ASSERT_EQ(killed.size(), 3u);  // header + 2 cells
 
-  // Overwrite the two covered cell lines with same-length garbage.  The
-  // index segment covers those bytes, so an indexed resume must never read
-  // them — while the full-parse fallback would fail to decode them and
-  // recompute (and re-append) both cells.
-  {
-    std::string text = test::read_file(spec.checkpoint);
-    std::size_t pos = text.find('\n') + 1;  // keep the header intact
-    for (; pos < text.size(); ++pos) {
-      if (text[pos] != '\n') text[pos] = 'x';
-    }
-    std::ofstream out(spec.checkpoint, std::ios::binary | std::ios::trunc);
-    out << text;
-  }
   std::string error;
   const SweepResult resumed = run_sweep(compiler, spec, &error);
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(resumed.to_csv(), full.to_csv());
-  // header + 2 garbage lines + exactly the 2 missing cells appended: the
-  // covered cells were recovered from the index, not recomputed.
-  EXPECT_EQ(lines_of(spec.checkpoint).size(), 5u);
+  // The killed run's lines stay as they were and exactly the 2 missing
+  // cells are appended: the covered cells were recovered, not recomputed.
+  const auto after = lines_of(spec.checkpoint);
+  ASSERT_EQ(after.size(), 5u);
+  EXPECT_TRUE(std::equal(killed.begin(), killed.end(), after.begin()));
 }
 
-TEST_F(SweepIndexTest, StaleOrCorruptIndexFallsBackIdentically) {
+TEST_F(SweepCheckpointTest, StrayIndexFileFromAnOlderBuildIsIgnored) {
+  // Older builds wrote a `<checkpoint>.idx` sidecar.  Resume reads only the
+  // checkpoint, so a leftover one — here garbage — changes nothing.
   const Compiler compiler(Technology::tsmc28());
   SweepSpec spec = small_sweep();
-  spec.checkpoint = ckpt("stale.jsonl");
+  spec.checkpoint = ckpt("stray.jsonl");
   std::string error;
   const SweepResult full = run_sweep(compiler, spec, &error);
   ASSERT_TRUE(error.empty()) << error;
-  const std::string idx_path = index_file_path(spec.checkpoint);
-  const std::string good_ckpt = test::read_file(spec.checkpoint);
-  const std::string good_idx = test::read_file(idx_path);
+  const std::string ckpt_bytes = test::read_file(spec.checkpoint);
+  const std::string idx_path = spec.checkpoint + ".idx";
+  test::write_file(idx_path, "garbage 1 999999\nranges 0-3\nsum 7\n");
 
-  const auto resume_matches = [&](const char* what) {
-    std::string resume_error;
-    const SweepResult resumed = run_sweep(compiler, spec, &resume_error);
-    EXPECT_TRUE(resume_error.empty()) << what << ": " << resume_error;
-    EXPECT_EQ(resumed.to_csv(), full.to_csv()) << what;
-  };
-
-  // Corrupt checksum -> silent full-parse fallback, same answer.
-  {
-    std::string bad = good_idx;
-    const std::size_t pos = bad.rfind("sum ");
-    ASSERT_NE(pos, std::string::npos);
-    bad.replace(pos, bad.size() - pos, "sum 1234\n");
-    test::write_file(idx_path, bad);
-  }
-  resume_matches("corrupt checksum");
-
-  // Truncated index (no trailing sum line at all).
-  test::write_file(idx_path, good_idx.substr(0, good_idx.size() / 2));
-  resume_matches("truncated index");
-
-  // Index claiming more checkpoint bytes than exist (checkpoint was
-  // truncated after the index was written): stale, must fall back and
-  // recompute the lost cell.
-  test::write_file(idx_path, good_idx);
-  {
-    const std::size_t last =
-        good_ckpt.rfind('\n', good_ckpt.size() - 2);  // drop the last cell
-    test::write_file(spec.checkpoint, good_ckpt.substr(0, last + 1));
-  }
-  resume_matches("stale index over truncated checkpoint");
-
-  // Missing index entirely.
-  test::write_file(spec.checkpoint, good_ckpt);
-  std::filesystem::remove(idx_path);
-  resume_matches("missing index");
-}
-
-TEST_F(SweepIndexTest, TailBytesPastIndexCoverageAreParsedNotTrusted) {
-  const Compiler compiler(Technology::tsmc28());
-  SweepSpec spec = small_sweep();
-  spec.checkpoint = ckpt("tail.jsonl");
-  std::string error;
-  const SweepResult full = run_sweep(compiler, spec, &error);
-  ASSERT_TRUE(error.empty()) << error;
-  const std::size_t lines_before = lines_of(spec.checkpoint).size();
-
-  // A torn write appended after the last index snapshot: the indexed
-  // resume must JSON-parse (and here, skip) the tail instead of trusting
-  // the index's byte count blindly.
-  {
-    std::ofstream out(spec.checkpoint, std::ios::binary | std::ios::app);
-    out << R"({"cell":{"evaluations":12,"front_si)";
-  }
   const SweepResult resumed = run_sweep(compiler, spec, &error);
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(resumed.to_csv(), full.to_csv());
-  // Nothing recomputed, nothing re-appended past the torn fragment.
-  EXPECT_EQ(lines_of(spec.checkpoint).size(), lines_before + 1);
+  EXPECT_EQ(test::read_file(spec.checkpoint), ckpt_bytes);
 }
 
-TEST_F(SweepIndexTest, MergeWritesUnifiedIndexUsableForResume) {
-  const Compiler compiler(Technology::tsmc28());
-  SweepSpec spec = small_sweep();
-  spec.checkpoint = ckpt("uni.jsonl");
-  for (int index = 0; index < 2; ++index) {
-    SweepSpec worker = spec;
-    worker.shard.index = index;
-    worker.shard.count = 2;
-    std::string error;
-    run_sweep(compiler, worker, &error);
-    ASSERT_TRUE(error.empty()) << error;
-  }
-  std::string error;
-  const SweepResult merged = merge_sweep_shards(compiler, spec, 2, &error);
-  ASSERT_TRUE(error.empty()) << error;
-
-  const std::string idx = test::read_file(index_file_path(spec.checkpoint));
-  EXPECT_EQ(idx.rfind("sega_sweep_idx 1 ", 0), 0u);
-  EXPECT_NE(idx.find("\nranges 0-3\n"), std::string::npos);
-  const auto before = lines_of(spec.checkpoint);
-  const SweepResult resumed = run_sweep(compiler, spec, &error);
-  ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(resumed.to_csv(), merged.to_csv());
-  EXPECT_EQ(lines_of(spec.checkpoint), before);  // nothing recomputed
-}
-
-TEST_F(SweepIndexTest, HeartbeatRequiresCheckpointAndRoundTripsAsSpec) {
+TEST_F(SweepHeartbeatTest, HeartbeatRequiresCheckpointAndRoundTripsAsSpec) {
   const Compiler compiler(Technology::tsmc28());
   SweepSpec spec = small_sweep();
   spec.heartbeat_every = 1;  // no checkpoint
@@ -1294,7 +1195,7 @@ TEST_F(SweepIndexTest, HeartbeatRequiresCheckpointAndRoundTripsAsSpec) {
   EXPECT_FALSE(SweepSpec{}.to_json().contains("heartbeat_every"));
 }
 
-TEST_F(SweepIndexTest, HeartbeatEveryIsNotPartOfTheFingerprint) {
+TEST_F(SweepHeartbeatTest, HeartbeatEveryIsNotPartOfTheFingerprint) {
   // Like threads, the heartbeat cadence is operational, not
   // result-affecting: a resume with a different cadence must accept the
   // checkpoint and recompute nothing.

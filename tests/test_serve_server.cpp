@@ -269,7 +269,6 @@ TEST_F(ServeServerTest, RejectsDaemonUnsafeCommandsAndFlags) {
       {"serve"},
       {"explore", "--wstore", "64", "--precision", "int8", "--tech", "t"},
       {"sweep", "--wstores", "16", "--cache-file", "m"},
-      {"sweep", "--wstores", "16", "--spawn-local", "2"},
   };
   for (const auto& argv : rejected) {
     std::ostringstream out, err;
@@ -281,6 +280,15 @@ TEST_F(ServeServerTest, RejectsDaemonUnsafeCommandsAndFlags) {
   // Nothing executed; the daemon stayed healthy.
   EXPECT_EQ(server->broker().executions(), 0u);
   EXPECT_TRUE(daemon_ping(socket()));
+
+  // A flag the CLI does not know is rejected by the CLI itself, so the
+  // daemon and an in-process (--no-daemon) run exit with the same code.
+  const std::vector<std::string> unknown_flag = {"sweep", "--wstores", "16",
+                                                 "--fork-workers", "2"};
+  const CliRun daemon = via_daemon(socket(), unknown_flag);
+  const CliRun local = in_process(unknown_flag);
+  EXPECT_EQ(local.code, 2) << local.err;
+  EXPECT_EQ(daemon.code, local.code) << daemon.err;
 }
 
 TEST_F(ServeServerTest, MalformedRequestsGetCleanErrorsAndConnectionSurvives) {
@@ -488,7 +496,6 @@ TEST_F(ServeServerTest, ClientHelpersClassifyEligibilityAndPaths) {
   EXPECT_FALSE(daemon_eligible({"explore", "--tech", "t.techlib"}));
   EXPECT_FALSE(daemon_eligible({"explore", "--cache-file", "m"}));
   EXPECT_FALSE(daemon_eligible({"validate", "--rtl-cache-file", "m"}));
-  EXPECT_FALSE(daemon_eligible({"sweep", "--spawn-local", "4"}));
   EXPECT_FALSE(daemon_eligible({"sweep", "--shard", "0/2"}));
   EXPECT_FALSE(daemon_eligible({"sweep", "--resume-summary"}));
 

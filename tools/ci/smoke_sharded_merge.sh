@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Sharded-sweep smoke (the CI step; run locally against any build dir):
-# per-shard worker invocations plus the checkpoint merge, the one-command
-# local fleet (--spawn-local), and the multi-host launch template must all
-# reproduce the unsharded serial CSV byte-for-byte.
+# per-shard worker invocations plus the checkpoint merge, and the supervised
+# local fleet (orchestrate), must both reproduce the unsharded serial CSV
+# byte-for-byte.
 #
 # usage: tools/ci/smoke_sharded_merge.sh [build-dir]   (default: build)
 set -euo pipefail
 
-ROOT=$(cd "$(dirname "$0")/../.." && pwd)
 BUILD_DIR=$(cd "${1:-build}" && pwd)
 SEGA="$BUILD_DIR/sega_dcim"
 if [ ! -x "$SEGA" ]; then
@@ -46,14 +45,10 @@ cmp serial.csv unified.csv
   --out compacted.memo.jsonl > /dev/null
 cmp shard.memo.jsonl compacted.memo.jsonl
 
-# One-command local fleet: fork 2 workers + merge.
-"$SEGA" sweep "${GRID[@]}" --spawn-local 2 \
-  --checkpoint spawn.ckpt.jsonl > spawned.csv
-cmp serial.csv spawned.csv
-
-# And the scripted multi-host template agrees too.
-"$ROOT/tools/sweep_launch.sh" "$SEGA" 2 launch.ckpt.jsonl \
-  "${GRID[@]}" > launched.csv
-cmp serial.csv launched.csv
+# The one-host fleet: orchestrate forks 2 workers, supervises them, and
+# merges.  With no retries allowed, any worker failure fails the smoke.
+"$SEGA" orchestrate "${GRID[@]}" --workers 2 --max-retries 0 \
+  --checkpoint fleet.ckpt.jsonl > fleet.csv
+cmp serial.csv fleet.csv
 
 echo "OK: sharded merge smoke"
