@@ -15,6 +15,7 @@
 
 #include <cstdlib>
 
+#include "cost/cost_cache.h"
 #include "dse/explorer.h"
 
 namespace {
@@ -89,6 +90,28 @@ void BM_Nsga2ParallelChecked(benchmark::State& state,
   }
 }
 
+/// Warm explore: the cost cache is filled with every point of the space
+/// before the timed loop, so each iteration (a new seed) times the NSGA-II
+/// generation loop over cache hits — the layer a warm `serve` explore
+/// request spends its time in.
+void BM_Nsga2WarmCache(benchmark::State& state, const char* precision_name,
+                       std::int64_t wstore) {
+  const Technology tech = Technology::tsmc28();
+  const Precision precision = *precision_from_name(precision_name);
+  DesignSpace space(wstore, precision);
+  CostCache cache(tech);
+  for (const auto& dp : space.enumerate_all()) cache.evaluate(dp);
+  Nsga2Options opt;
+  opt.population = 64;
+  opt.generations = 64;
+  opt.threads = 1;
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    opt.seed = seed++;
+    benchmark::DoNotOptimize(explore_nsga2(space, cache, opt));
+  }
+}
+
 void BM_Exhaustive(benchmark::State& state, const char* precision_name,
                    std::int64_t wstore) {
   const Technology tech = Technology::tsmc28();
@@ -113,6 +136,8 @@ BENCHMARK_CAPTURE(BM_Nsga2Threads, fp32_64k, "FP32", 65536)
     ->Arg(1)
     ->Arg(8);
 BENCHMARK_CAPTURE(BM_Nsga2ParallelChecked, int8_64k, "INT8", 65536);
+BENCHMARK_CAPTURE(BM_Nsga2WarmCache, int8_64k, "INT8", 65536);
+BENCHMARK_CAPTURE(BM_Nsga2WarmCache, fp16_16k, "FP16", 16384);
 BENCHMARK_CAPTURE(BM_Exhaustive, int8_64k, "INT8", 65536);
 BENCHMARK_CAPTURE(BM_Exhaustive, fp32_64k, "FP32", 65536);
 

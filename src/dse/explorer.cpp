@@ -59,7 +59,7 @@ EvaluatedDesign evaluate_design(const Technology& tech, const DesignPoint& dp,
 void sort_by_objectives(std::vector<EvaluatedDesign>* designs) {
   std::sort(designs->begin(), designs->end(),
             [](const EvaluatedDesign& a, const EvaluatedDesign& b) {
-              return a.objectives() < b.objectives();
+              return a.metrics.objectives() < b.metrics.objectives();
             });
 }
 

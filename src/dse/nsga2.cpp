@@ -1,10 +1,8 @@
 #include "dse/nsga2.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdlib>
 #include <memory>
-#include <set>
-#include <tuple>
 
 #include "util/assert.h"
 #include "util/threadpool.h"
@@ -17,41 +15,72 @@ struct Genome {
   int n_exp = 0;
   int h_exp = 0;
   std::int64_t k = 1;
-
-  auto key() const { return std::tie(n_exp, h_exp, k); }
-  bool operator<(const Genome& other) const { return key() < other.key(); }
-  bool operator==(const Genome& other) const { return key() == other.key(); }
 };
 
-struct Individual {
-  Genome genome;
-  DesignPoint point;
-  Objectives objectives;
-  int rank = 0;
-  double crowding = 0.0;
+/// Dense ids of the in-range genomes of a space (a few thousand at most),
+/// ascending in (n_exp, h_exp, k) lexicographic order.  Crossover and
+/// clamped mutation of in-range genomes stay in range, so every genome the
+/// optimizer handles has an id.
+class GenomeIds {
+ public:
+  explicit GenomeIds(const DesignSpace& space)
+      : min_n_(space.min_n_exp()),
+        min_h_(space.min_h_exp()),
+        h_count_(space.max_h_exp() - space.min_h_exp() + 1),
+        k_count_(space.max_k()),
+        size_(static_cast<std::size_t>(space.max_n_exp() - min_n_ + 1) *
+              static_cast<std::size_t>(h_count_) *
+              static_cast<std::size_t>(k_count_)) {}
+
+  std::size_t size() const { return size_; }
+
+  std::int32_t id(const Genome& g) const {
+    const std::int64_t id =
+        (static_cast<std::int64_t>(g.n_exp - min_n_) * h_count_ +
+         (g.h_exp - min_h_)) *
+            k_count_ +
+        (g.k - 1);
+    SEGA_ASSERT(id >= 0 && static_cast<std::size_t>(id) < size_);
+    return static_cast<std::int32_t>(id);
+  }
+
+  Genome genome(std::int32_t id) const {
+    Genome g;
+    g.k = id % k_count_ + 1;
+    const std::int64_t nh = id / k_count_;
+    g.h_exp = static_cast<int>(nh % h_count_) + min_h_;
+    g.n_exp = static_cast<int>(nh / h_count_) + min_n_;
+    return g;
+  }
+
+ private:
+  int min_n_;
+  int min_h_;
+  std::int64_t h_count_;
+  std::int64_t k_count_;
+  std::size_t size_;
 };
 
-/// Decode with local repair: if the exact genome is infeasible (derived L
-/// not integral or out of range), walk outward over neighbouring (n,h)
-/// exponents until a feasible decode is found.
-std::optional<DesignPoint> decode_with_repair(const DesignSpace& space,
-                                              Genome* g) {
-  if (auto dp = space.decode(g->n_exp, g->h_exp, g->k)) return dp;
+/// Local repair: if the exact genome is infeasible (derived L not integral
+/// or out of range), walk outward over neighbouring (n,h) exponents until a
+/// feasible decode is found and move @p g there.  False when none is.
+bool repair(const DesignSpace& space, Genome* g) {
+  if (space.decode(g->n_exp, g->h_exp, g->k)) return true;
   for (int radius = 1; radius <= 4; ++radius) {
     for (int dn = -radius; dn <= radius; ++dn) {
       for (int dh = -radius; dh <= radius; ++dh) {
         if (std::max(std::abs(dn), std::abs(dh)) != radius) continue;
         const int ne = g->n_exp + dn;
         const int he = g->h_exp + dh;
-        if (auto dp = space.decode(ne, he, g->k)) {
+        if (space.decode(ne, he, g->k)) {
           g->n_exp = ne;
           g->h_exp = he;
-          return dp;
+          return true;
         }
       }
     }
   }
-  return std::nullopt;
+  return false;
 }
 
 Genome random_genome(const DesignSpace& space, Rng& rng) {
@@ -64,70 +93,14 @@ Genome random_genome(const DesignSpace& space, Rng& rng) {
   return g;
 }
 
-/// Archive of every distinct genome evaluated during the run.  The returned
-/// front is the non-dominated subset of the archive, so information from any
-/// generation is never lost (elitist archive, standard NSGA-II practice).
-using Archive = std::map<Genome, std::pair<DesignPoint, Objectives>>;
-
-/// One batch of feasible (genome, decoded point) candidates.  Batches are
-/// produced serially — decode_with_repair consumes no randomness, so the RNG
-/// stream is identical to the historical generate-and-evaluate-inline path —
-/// and evaluated afterwards, possibly concurrently.
-struct CandidateBatch {
-  std::vector<Genome> genomes;
-  std::vector<DesignPoint> points;
-
-  std::size_t size() const { return genomes.size(); }
-  void add(const Genome& g, const DesignPoint& dp) {
-    genomes.push_back(g);
-    points.push_back(dp);
-  }
+/// A population member: a repaired genome, the archive row of its
+/// objectives, and its NSGA-II rank and crowding distance.
+struct Individual {
+  std::int32_t id = 0;
+  std::size_t row = 0;
+  int rank = 0;
+  double crowding = 0.0;
 };
-
-/// Fold a batch into the archive.  Genomes not yet archived are deduplicated
-/// in first-occurrence order, gathered contiguously, evaluated in pool-
-/// chunked batches, and inserted in that same fixed order — so archive
-/// contents and stats->evaluations are bit-identical for every thread count
-/// and chunking.
-void fold_batch(const BatchObjectiveFn& objective, const CandidateBatch& batch,
-                Archive* archive, Nsga2Stats* stats, ThreadPool& pool) {
-  std::vector<std::size_t> miss;
-  std::set<Genome> pending;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (archive->count(batch.genomes[i]) != 0) continue;
-    if (!pending.insert(batch.genomes[i]).second) continue;
-    miss.push_back(i);
-  }
-  std::vector<DesignPoint> cold;
-  cold.reserve(miss.size());
-  for (const std::size_t i : miss) cold.push_back(batch.points[i]);
-  std::vector<Objectives> results(miss.size());
-  pool.parallel_for_chunks(
-      miss.size(), kDseEvalChunk, [&](std::size_t begin, std::size_t end) {
-        objective(Span<const DesignPoint>(cold.data() + begin, end - begin),
-                  Span<Objectives>(results.data() + begin, end - begin));
-      });
-  for (std::size_t j = 0; j < miss.size(); ++j) {
-    archive->emplace(batch.genomes[miss[j]],
-                     std::make_pair(batch.points[miss[j]], results[j]));
-    if (stats) ++stats->evaluations;
-  }
-}
-
-/// Materialize the batch as individuals from the (fully populated) archive.
-std::vector<Individual> individuals_from(const CandidateBatch& batch,
-                                         const Archive& archive) {
-  std::vector<Individual> out;
-  out.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Individual ind;
-    ind.genome = batch.genomes[i];
-    ind.point = batch.points[i];
-    ind.objectives = archive.at(batch.genomes[i]).second;
-    out.push_back(std::move(ind));
-  }
-  return out;
-}
 
 /// Binary tournament on (rank, crowding).
 const Individual& tournament(const std::vector<Individual>& pop, Rng& rng) {
@@ -173,23 +146,180 @@ void mutate(Genome* g, const DesignSpace& space, double per_gene_prob,
   }
 }
 
-/// Assign ranks and crowding to @p pop in place.
-void rank_population(std::vector<Individual>* pop) {
-  std::vector<Objectives> objs;
-  objs.reserve(pop->size());
-  for (const auto& ind : *pop) objs.push_back(ind.objectives);
-  const auto fronts = fast_non_dominated_sort(objs);
-  for (std::size_t f = 0; f < fronts.size(); ++f) {
-    std::vector<Objectives> front_objs;
-    front_objs.reserve(fronts[f].size());
-    for (const std::size_t i : fronts[f]) front_objs.push_back(objs[i]);
-    const auto crowd = crowding_distances(front_objs);
-    for (std::size_t j = 0; j < fronts[f].size(); ++j) {
-      (*pop)[fronts[f][j]].rank = static_cast<int>(f);
-      (*pop)[fronts[f][j]].crowding = crowd[j];
+/// The state of one run: the per-genome repair and archive tables, the
+/// elitist archive of every distinct repaired genome evaluated (the returned
+/// front is its non-dominated subset, so no generation's information is
+/// lost), and reusable ranking scratch.
+class Nsga2Run {
+ public:
+  Nsga2Run(const DesignSpace& space, const BatchObjectiveFn& objective,
+           ThreadPool& pool, Nsga2Stats* stats)
+      : space_(space),
+        ids_(space),
+        genomes_(ids_.size()),
+        objective_(objective),
+        pool_(pool),
+        stats_(stats) {}
+
+  const GenomeIds& ids() const { return ids_; }
+
+  /// Id of @p g after repair, or -1 when it is infeasible even after repair.
+  /// repair() consumes no randomness, so memoizing it per genome leaves the
+  /// RNG stream untouched.
+  std::int32_t repaired(const Genome& g) {
+    Entry& e = genomes_[static_cast<std::size_t>(ids_.id(g))];
+    if (e.repaired == kUnknown) {
+      Genome r = g;
+      e.repaired = repair(space_, &r) ? ids_.id(r) : kInfeasible;
+    }
+    return e.repaired;
+  }
+
+  /// Evaluate the ids of @p batch not yet archived — deduplicated in
+  /// first-occurrence order, decoded contiguously, evaluated in pool-chunked
+  /// batches and archived in that same fixed order, so archive contents and
+  /// stats->evaluations are bit-identical for every thread count and
+  /// chunking — and return the batch as individuals.
+  std::vector<Individual> fold(const std::vector<std::int32_t>& batch) {
+    std::vector<std::int32_t> cold_ids;
+    for (const std::int32_t id : batch) {
+      Entry& e = genomes_[static_cast<std::size_t>(id)];
+      if (e.slot != kNoSlot) continue;
+      e.slot = kPending;
+      cold_ids.push_back(id);
+    }
+    std::vector<DesignPoint> cold;
+    cold.reserve(cold_ids.size());
+    for (const std::int32_t id : cold_ids) cold.push_back(decode(id));
+    std::vector<Objectives> results(cold.size());
+    pool_.parallel_for_chunks(
+        cold.size(), kDseEvalChunk, [&](std::size_t begin, std::size_t end) {
+          objective_(Span<const DesignPoint>(cold.data() + begin, end - begin),
+                     Span<Objectives>(results.data() + begin, end - begin));
+        });
+    for (std::size_t j = 0; j < cold_ids.size(); ++j) {
+      const Objectives& o = results[j];
+      if (stride_ == 0) stride_ = o.size();
+      SEGA_EXPECTS(!o.empty() && o.size() == stride_);
+      genomes_[static_cast<std::size_t>(cold_ids[j])].slot =
+          static_cast<std::int32_t>(archive_ids_.size());
+      archive_ids_.push_back(cold_ids[j]);
+      archive_rows_.insert(archive_rows_.end(), o.begin(), o.end());
+      ++stats_->evaluations;
+    }
+
+    std::vector<Individual> out(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      out[i].id = batch[i];
+      out[i].row = static_cast<std::size_t>(
+          genomes_[static_cast<std::size_t>(batch[i])].slot);
+    }
+    return out;
+  }
+
+  /// Assign ranks and crowding to @p pop in place.  Ranks come from one
+  /// ENS-BS pass over the population's distinct archive rows (copies share a
+  /// front).
+  void rank(std::vector<Individual>* pop) {
+    local_.resize(archive_ids_.size(), kNoLocal);
+    distinct_.clear();
+    for (const Individual& ind : *pop) {
+      if (local_[ind.row] != kNoLocal) continue;
+      local_[ind.row] = distinct_.size();
+      distinct_.push_back(ind.row);
+    }
+    distinct_rank_.resize(distinct_.size());
+    non_dominated_ranks(view(distinct_), Span<int>(distinct_rank_));
+    for (Individual& ind : *pop) ind.rank = distinct_rank_[local_[ind.row]];
+    for (const std::size_t row : distinct_) local_[row] = kNoLocal;
+    crowd(pop);
+  }
+
+  /// Recompute crowding for the ranks already in @p pop: over every member
+  /// of each front, listed in ascending population index, exactly as a
+  /// per-individual sort would.  Environmental selection keeps whole fronts
+  /// 0..r-1 and part of front r, and every dominator of a front-f member
+  /// lies in a front < f, so the survivors' ranks are already their ranks
+  /// among themselves and only their crowding changes.
+  void crowd(std::vector<Individual>* pop) {
+    int fronts = 0;
+    for (const Individual& ind : *pop) fronts = std::max(fronts, ind.rank + 1);
+    for (int f = 0; f < fronts; ++f) {
+      members_.clear();
+      front_rows_.clear();
+      for (std::size_t i = 0; i < pop->size(); ++i) {
+        if ((*pop)[i].rank != f) continue;
+        members_.push_back(i);
+        front_rows_.push_back((*pop)[i].row);
+      }
+      crowding_.resize(members_.size());
+      crowding_distances(view(front_rows_), Span<double>(crowding_));
+      for (std::size_t j = 0; j < members_.size(); ++j) {
+        (*pop)[members_[j]].crowding = crowding_[j];
+      }
     }
   }
-}
+
+  /// The non-dominated subset of the archive, in ascending genome id order.
+  std::vector<DesignPoint> front() const {
+    std::vector<std::size_t> rows;
+    rows.reserve(archive_ids_.size());
+    for (const Entry& e : genomes_) {
+      if (e.slot >= 0) rows.push_back(static_cast<std::size_t>(e.slot));
+    }
+    std::vector<int> ranks(rows.size());
+    non_dominated_ranks(view(rows), Span<int>(ranks));
+    std::vector<DesignPoint> out;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (ranks[i] == 0) out.push_back(decode(archive_ids_[rows[i]]));
+    }
+    return out;
+  }
+
+ private:
+  static constexpr std::int32_t kUnknown = -2;     ///< repair not computed
+  static constexpr std::int32_t kInfeasible = -1;  ///< no feasible repair
+  static constexpr std::int32_t kNoSlot = -1;      ///< not archived
+  static constexpr std::int32_t kPending = -2;     ///< queued in this fold
+  static constexpr std::size_t kNoLocal = static_cast<std::size_t>(-1);
+
+  struct Entry {
+    std::int32_t repaired = kUnknown;
+    std::int32_t slot = kNoSlot;
+  };
+
+  DesignPoint decode(std::int32_t id) const {
+    const Genome g = ids_.genome(id);
+    const auto dp = space_.decode(g.n_exp, g.h_exp, g.k);
+    SEGA_ASSERT(dp.has_value());
+    return *dp;
+  }
+
+  ObjectiveRows view(const std::vector<std::size_t>& rows) const {
+    return {archive_rows_.data(), stride_, Span<const std::size_t>(rows)};
+  }
+
+  const DesignSpace& space_;
+  GenomeIds ids_;
+  std::vector<Entry> genomes_;  ///< by genome id
+  const BatchObjectiveFn& objective_;
+  ThreadPool& pool_;
+  Nsga2Stats* stats_;
+
+  // Archive: objective rows (stride_ doubles each) and their genome ids, in
+  // evaluation order.
+  std::size_t stride_ = 0;
+  std::vector<double> archive_rows_;
+  std::vector<std::int32_t> archive_ids_;
+
+  // rank() and crowd() scratch, reused across calls.
+  std::vector<std::size_t> local_;  ///< by archive row: index in distinct_
+  std::vector<std::size_t> distinct_;
+  std::vector<int> distinct_rank_;
+  std::vector<std::size_t> members_;
+  std::vector<std::size_t> front_rows_;
+  std::vector<double> crowding_;
+};
 
 }  // namespace
 
@@ -224,73 +354,64 @@ std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
   if (options.threads > 0) owned = std::make_unique<ThreadPool>(options.threads);
   ThreadPool& pool = owned ? *owned : ThreadPool::global();
 
+  Nsga2Run run(space, objective, pool, stats);
+  const GenomeIds& ids = run.ids();
+
   // --- initial population ---
-  Archive archive;
-  CandidateBatch init;
+  std::vector<std::int32_t> init;
   for (int attempts = 0;
        static_cast<int>(init.size()) < options.population &&
        attempts < options.population * 64;
        ++attempts) {
-    Genome g = random_genome(space, rng);
-    if (auto dp = decode_with_repair(space, &g)) init.add(g, *dp);
+    const std::int32_t id = run.repaired(random_genome(space, rng));
+    if (id >= 0) init.push_back(id);
   }
-  if (init.size() == 0) return {};
-  fold_batch(objective, init, &archive, stats, pool);
-  std::vector<Individual> pop = individuals_from(init, archive);
-  rank_population(&pop);
+  if (init.empty()) return {};
+  std::vector<Individual> pop = run.fold(init);
+  run.rank(&pop);
 
   // --- generational loop ---
+  std::vector<std::int32_t> batch;
   for (int gen = 0; gen < options.generations; ++gen) {
-    CandidateBatch batch;
+    batch.clear();
     while (batch.size() < pop.size()) {
       const Individual& p1 = tournament(pop, rng);
       const Individual& p2 = tournament(pop, rng);
+      const Genome g1 = ids.genome(p1.id);
       Genome child = rng.chance(options.crossover_prob)
-                         ? crossover(p1.genome, p2.genome, rng)
-                         : p1.genome;
+                         ? crossover(g1, ids.genome(p2.id), rng)
+                         : g1;
       mutate(&child, space, options.mutation_prob, rng);
-      if (auto dp = decode_with_repair(space, &child)) {
-        batch.add(child, *dp);
+      const std::int32_t id = run.repaired(child);
+      if (id >= 0) {
+        batch.push_back(id);
       } else {
         // Infeasible even after repair: inject a random immigrant to keep
         // population pressure up.
-        Genome imm = random_genome(space, rng);
-        if (auto dpi = decode_with_repair(space, &imm)) batch.add(imm, *dpi);
+        const std::int32_t imm = run.repaired(random_genome(space, rng));
+        if (imm >= 0) batch.push_back(imm);
       }
     }
-    fold_batch(objective, batch, &archive, stats, pool);
-    std::vector<Individual> offspring = individuals_from(batch, archive);
+    std::vector<Individual> offspring = run.fold(batch);
 
     // Environmental selection over parents + offspring.
     std::vector<Individual> merged = std::move(pop);
-    merged.insert(merged.end(), std::make_move_iterator(offspring.begin()),
-                  std::make_move_iterator(offspring.end()));
-    rank_population(&merged);
+    merged.insert(merged.end(), offspring.begin(), offspring.end());
+    run.rank(&merged);
     std::stable_sort(merged.begin(), merged.end(),
                      [](const Individual& a, const Individual& b) {
                        if (a.rank != b.rank) return a.rank < b.rank;
                        return a.crowding > b.crowding;
                      });
-    merged.resize(static_cast<std::size_t>(options.population));
+    merged.resize(std::min(merged.size(),
+                           static_cast<std::size_t>(options.population)));
     pop = std::move(merged);
-    rank_population(&pop);
+    run.crowd(&pop);
     ++stats->generations_run;
   }
 
   // --- extract the non-dominated subset of everything evaluated ---
-  std::vector<DesignPoint> points;
-  std::vector<Objectives> objs;
-  points.reserve(archive.size());
-  objs.reserve(archive.size());
-  for (const auto& [g, entry] : archive) {
-    points.push_back(entry.first);
-    objs.push_back(entry.second);
-  }
-  const auto keep = non_dominated_indices(objs);
-  std::vector<DesignPoint> front;
-  front.reserve(keep.size());
-  for (const std::size_t i : keep) front.push_back(points[i]);
-  return front;
+  return run.front();
 }
 
 }  // namespace sega

@@ -9,14 +9,45 @@
 
 namespace sega {
 
-bool dominates(const Objectives& u, const Objectives& v) {
-  SEGA_EXPECTS(u.size() == v.size() && !u.empty());
+namespace {
+
+/// dominates() over raw rows of @p m objectives.
+bool dominates_row(const double* u, const double* v, std::size_t m) {
   bool strictly_better = false;
-  for (std::size_t i = 0; i < u.size(); ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     if (u[i] > v[i]) return false;
     if (u[i] < v[i]) strictly_better = true;
   }
   return strictly_better;
+}
+
+/// The std::vector<Objectives> entry points' input copied into one buffer
+/// and viewed with the identity index.
+struct FlatRows {
+  std::vector<double> data;
+  std::vector<std::size_t> index;
+  std::size_t stride = 0;
+
+  explicit FlatRows(const std::vector<Objectives>& points)
+      : index(points.size()),
+        stride(points.empty() ? 0 : points.front().size()) {
+    data.reserve(points.size() * stride);
+    for (const Objectives& p : points) {
+      SEGA_EXPECTS(p.size() == stride);
+      data.insert(data.end(), p.begin(), p.end());
+    }
+    std::iota(index.begin(), index.end(), std::size_t{0});
+  }
+  ObjectiveRows view() const {
+    return {data.data(), stride, Span<const std::size_t>(index)};
+  }
+};
+
+}  // namespace
+
+bool dominates(const Objectives& u, const Objectives& v) {
+  SEGA_EXPECTS(u.size() == v.size() && !u.empty());
+  return dominates_row(u.data(), v.data(), u.size());
 }
 
 std::vector<std::size_t> non_dominated_indices(
@@ -32,57 +63,78 @@ std::vector<std::size_t> non_dominated_indices(
   return out;
 }
 
-std::vector<std::vector<std::size_t>> fast_non_dominated_sort(
-    const std::vector<Objectives>& points) {
-  const std::size_t n = points.size();
-  if (n == 0) return {};
+std::size_t non_dominated_ranks(const ObjectiveRows& rows, Span<int> rank) {
+  const std::size_t n = rows.size();
+  SEGA_EXPECTS(rank.size() == n);
+  if (n == 0) return 0;
+  const std::size_t m = rows.stride;
 
-  // Lexicographic processing order (ties broken by index so the pass is
-  // deterministic).  Any dominator of a point strictly precedes it in this
-  // order, so every point's potential dominators are placed before it and
+  // Lexicographic processing order (ties broken by view index so the pass
+  // is deterministic).  Any dominator of a row strictly precedes it in this
+  // order, so every row's potential dominators are placed before it and
   // placed ranks are final.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (points[a] != points[b]) return points[a] < points[b];
+    const double* ra = rows.row(a);
+    const double* rb = rows.row(b);
+    for (std::size_t j = 0; j < m; ++j) {
+      if (ra[j] < rb[j]) return true;
+      if (rb[j] < ra[j]) return false;
+    }
     return a < b;
   });
 
-  // Fronts in insertion order; checked newest-member-first because lex-close
-  // members are the likeliest dominators (the standard ENS heuristic).
-  std::vector<std::vector<std::size_t>> placed;
-  std::vector<int> rank(n, 0);
-  const auto front_dominates = [&](const std::vector<std::size_t>& front,
-                                   const Objectives& p) {
-    for (auto it = front.rbegin(); it != front.rend(); ++it) {
-      if (dominates(points[*it], p)) return true;
+  // Rows copied in processing order, so the dominance scans below read one
+  // contiguous buffer: sorted row p is view row order[p].
+  std::vector<double> sorted(n * m);
+  for (std::size_t p = 0; p < n; ++p) {
+    std::copy_n(rows.row(order[p]), m, sorted.data() + p * m);
+  }
+
+  // Fronts as linked lists walked newest member first, because lex-close
+  // members are the likeliest dominators (the standard ENS heuristic):
+  // newest[f] is front f's last-placed sorted row, older[p] the sorted row
+  // placed into p's front just before p.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> newest;
+  std::vector<std::size_t> older(n, kNone);
+  const auto front_dominates = [&](std::size_t front, const double* row) {
+    for (std::size_t q = newest[front]; q != kNone; q = older[q]) {
+      if (dominates_row(sorted.data() + q * m, row, m)) return true;
     }
     return false;
   };
-  for (const std::size_t idx : order) {
+  for (std::size_t p = 0; p < n; ++p) {
     // Smallest k with no dominator in front k; "has a dominator" is true on
     // a prefix of fronts (transitivity), so binary search applies.
+    const double* row = sorted.data() + p * m;
     std::size_t lo = 0;
-    std::size_t hi = placed.size();
+    std::size_t hi = newest.size();
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
-      if (front_dominates(placed[mid], points[idx])) {
+      if (front_dominates(mid, row)) {
         lo = mid + 1;
       } else {
         hi = mid;
       }
     }
-    if (lo == placed.size()) placed.emplace_back();
-    placed[lo].push_back(idx);
-    rank[idx] = static_cast<int>(lo);
+    if (lo == newest.size()) newest.push_back(kNone);
+    older[p] = newest[lo];
+    newest[lo] = p;
+    rank.data()[order[p]] = static_cast<int>(lo);
   }
+  return newest.size();
+}
 
-  // Re-bucket by ascending original index (the public ordering contract).
-  std::vector<std::vector<std::size_t>> fronts(placed.size());
-  for (std::size_t f = 0; f < placed.size(); ++f) {
-    fronts[f].reserve(placed[f].size());
-  }
-  for (std::size_t i = 0; i < n; ++i) {
+std::vector<std::vector<std::size_t>> fast_non_dominated_sort(
+    const std::vector<Objectives>& points) {
+  const FlatRows flat(points);
+  std::vector<int> rank(points.size());
+  const std::size_t count = non_dominated_ranks(flat.view(), Span<int>(rank));
+  // Bucket by ascending original index (the public ordering contract).
+  std::vector<std::vector<std::size_t>> fronts(count);
+  for (std::size_t i = 0; i < points.size(); ++i) {
     fronts[static_cast<std::size_t>(rank[i])].push_back(i);
   }
   return fronts;
@@ -122,28 +174,37 @@ std::vector<std::vector<std::size_t>> fast_non_dominated_sort_baseline(
   return fronts;
 }
 
-std::vector<double> crowding_distances(const std::vector<Objectives>& front) {
+void crowding_distances(const ObjectiveRows& front, Span<double> dist) {
   const std::size_t n = front.size();
-  std::vector<double> dist(n, 0.0);
-  if (n == 0) return dist;
-  const std::size_t m = front[0].size();
+  SEGA_EXPECTS(dist.size() == n);
+  std::fill(dist.begin(), dist.end(), 0.0);
+  if (n == 0) return;
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  double* d = dist.data();
 
-  for (std::size_t obj = 0; obj < m; ++obj) {
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return front[a][obj] < front[b][obj];
-    });
-    dist[order.front()] = kInf;
-    dist[order.back()] = kInf;
-    const double span = front[order.back()][obj] - front[order.front()][obj];
+  // Per objective the values are gathered into key[] first; the comparator
+  // sees exactly the values a sort over the rows would.
+  std::vector<std::size_t> order(n);
+  std::vector<double> key(n);
+  for (std::size_t obj = 0; obj < front.stride; ++obj) {
+    for (std::size_t i = 0; i < n; ++i) key[i] = front.row(i)[obj];
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return key[a] < key[b]; });
+    d[order.front()] = kInf;
+    d[order.back()] = kInf;
+    const double span = key[order.back()] - key[order.front()];
     if (span <= 0.0) continue;
     for (std::size_t i = 1; i + 1 < n; ++i) {
-      dist[order[i]] +=
-          (front[order[i + 1]][obj] - front[order[i - 1]][obj]) / span;
+      d[order[i]] += (key[order[i + 1]] - key[order[i - 1]]) / span;
     }
   }
+}
+
+std::vector<double> crowding_distances(const std::vector<Objectives>& front) {
+  const FlatRows flat(front);
+  std::vector<double> dist(front.size());
+  crowding_distances(flat.view(), Span<double>(dist));
   return dist;
 }
 

@@ -2,10 +2,14 @@
 //
 // Census contract: for the modules of Table II and the INT-datapath
 // components of Table IV, the cells these builders emit match the cost
-// model's GateCount *exactly* (tests assert it).  The FP front/back-end
-// builders (pre-alignment, INT-to-FP) additionally emit a small amount of
-// glue the paper's first-order model omits — offset-overflow flush gating and
-// the leading-one encoder — and tests pin those documented deltas.
+// model's GateCount *exactly* (tests assert it) at power-of-two widths.  A
+// barrel shifter of non-power-of-two width w pads every output bit to a
+// 2^ceil_log2(w):1 selector, so it and the shift accumulator built on it
+// carry w*(2^ceil_log2(w) - w) MUX2 beyond the model's w*(w-1).  The FP
+// front/back-end builders (pre-alignment, INT-to-FP) additionally emit a
+// small amount of glue the paper's first-order model omits — offset-overflow
+// flush gating and the leading-one encoder.  Tests pin those documented
+// deltas.
 //
 // All buses are LSB-first.  Multi-bit values are unsigned; see DESIGN.md for
 // the signed-operand discussion.
@@ -34,10 +38,11 @@ Bus build_adder(Netlist& nl, const Bus& a, const Bus& b);
 /// Uses exactly n-1 MUX2 (the Table II census) for any n >= 1.
 NetId build_selector(Netlist& nl, const Bus& data, const Bus& sel);
 
-/// w-bit barrel shifter; shift amount @p sh is ceil_log2(w) bits and shifts
-/// in zeros.  Built as w parallel w:1 selectors — exactly w*(w-1) MUX2, the
-/// Table II census.  Shift amounts wrap at 2^ceil_log2(w) >= w; callers that
-/// can exceed w-1 must flush (see build_alignment_shifter).
+/// w-bit barrel shifter; shift amount @p sh is sb >= ceil_log2(w) bits and
+/// shifts in zeros.  Built as w parallel 2^sb:1 selectors — w*(2^sb - 1)
+/// MUX2, which is the Table II census w*(w-1) only when w is a power of two
+/// and sb = log2(w).  Shift amounts wrap at 2^sb >= w; callers that can
+/// exceed w-1 must flush (see build_pre_alignment).
 Bus build_right_shifter(Netlist& nl, const Bus& data, const Bus& sh);
 Bus build_left_shifter(Netlist& nl, const Bus& data, const Bus& sh);
 
@@ -71,8 +76,9 @@ Bus build_max_tree(Netlist& nl, const std::vector<Bus>& values);
 /// Shift accumulator (one column): registers acc (width w), updates
 /// acc' = (acc << k) + zext(partial) every clock (MSB-first bit-serial
 /// streaming).  The shift is a full barrel shifter with the amount tied to
-/// the constant k, matching the Table IV census (w DFF + w-bit shifter +
-/// w-bit adder).  Returns the registered accumulator outputs.
+/// the constant k: the Table IV census (w DFF + w-bit shifter + w-bit adder),
+/// plus the shifter's padding MUX2 when w is not a power of two.  Returns the
+/// registered accumulator outputs.
 /// The accumulator is cleared by the simulator between operands (a reset
 /// mux is deliberately not modeled; see DESIGN.md).
 Bus build_shift_accumulator(Netlist& nl, const Bus& partial, int w, int k);

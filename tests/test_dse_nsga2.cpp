@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "cost/macro_model.h"
 #include "dse/explorer.h"
@@ -84,6 +86,70 @@ TEST(Nsga2Test, TracksEvaluationStats) {
   // bounded by initial population + offspring, and at least the population.
   EXPECT_GE(stats.evaluations, 16);
   EXPECT_LE(stats.evaluations, 16 * 11);
+}
+
+// Golden pin of the optimizer's exact output: for each run, the returned
+// front in order (DesignPoint::to_string() and the four objectives as %a
+// hex-floats) and the run's Nsga2Stats.  Recorded from the std::map-archive
+// implementation; any change to the RNG stream, repair, ranking, crowding
+// tie-breaks, selection or front extraction shows up here.  Threads 1 and 2
+// must both reproduce it.
+struct GoldenCell {
+  std::int64_t wstore;
+  const char* precision;
+};
+
+std::string render_golden_runs(int threads) {
+  const Technology tech = Technology::tsmc28();
+  // INT and FP cells.  Most in-range genomes are infeasible (140 of 484 at
+  // 1024 INT4 decode), so genome repair is exercised in every cell.
+  const GoldenCell cells[] = {{1024, "INT4"},   {2048, "INT8"},
+                              {2048, "FP8"},    {8192, "INT16"},
+                              {16384, "BF16"},  {32768, "INT2"},
+                              {65536, "FP16"},  {131072, "FP32"}};
+  const int shapes[][2] = {{64, 64}, {16, 8}, {4, 1}};
+  std::string out;
+  char buf[160];
+  std::uint64_t seed = 11;
+  for (const GoldenCell& cell : cells) {
+    DesignSpace space(cell.wstore, *precision_from_name(cell.precision));
+    for (const auto& shape : shapes) {
+      Nsga2Options opt;
+      opt.population = shape[0];
+      opt.generations = shape[1];
+      opt.seed = seed++;
+      opt.threads = threads;
+      Nsga2Stats stats;
+      const auto front =
+          nsga2_optimize(space, macro_objective(tech), opt, &stats);
+      std::snprintf(buf, sizeof buf,
+                    "== %s %lld pop=%d gen=%d seed=%llu evals=%lld gens=%d\n",
+                    cell.precision, static_cast<long long>(cell.wstore),
+                    opt.population, opt.generations,
+                    static_cast<unsigned long long>(opt.seed),
+                    static_cast<long long>(stats.evaluations),
+                    stats.generations_run);
+      out += buf;
+      for (const DesignPoint& dp : front) {
+        const auto o = evaluate_macro(tech, dp).objectives();
+        std::snprintf(buf, sizeof buf, " | %a %a %a %a\n", o[0], o[1], o[2],
+                      o[3]);
+        out += dp.to_string() + buf;
+      }
+    }
+  }
+  return out;
+}
+
+constexpr const char* kGoldenRuns =
+#include "nsga2_golden_fronts.inc"
+    ;
+
+TEST(Nsga2GoldenTest, FrontsAndStatsArePinned) {
+  for (const int threads : {1, 2}) {
+    EXPECT_EQ(render_golden_runs(threads), kGoldenRuns)
+        << "threads=" << threads;
+  }
 }
 
 // The key quality bar: on every paper precision at 64K weights, NSGA-II must

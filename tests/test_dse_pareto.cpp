@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "util/rng.h"
@@ -172,6 +173,79 @@ TEST(EnsSortTest, FrontsListIndicesAscending) {
 TEST(EnsSortTest, EmptyInputYieldsNoFronts) {
   EXPECT_TRUE(fast_non_dominated_sort({}).empty());
   EXPECT_TRUE(fast_non_dominated_sort_baseline({}).empty());
+}
+
+// --- row views (the NSGA-II inner loop's entry points) ----------------------
+
+/// @p pts stored in a buffer in reverse order, viewed in their original
+/// order through the index, and again with every row listed twice.
+struct ReversedRows {
+  std::vector<double> data;
+  std::vector<std::size_t> index;
+  std::vector<std::size_t> twice;
+  std::size_t stride;
+
+  explicit ReversedRows(const std::vector<Objectives>& pts)
+      : stride(pts.front().size()) {
+    for (auto it = pts.rbegin(); it != pts.rend(); ++it) {
+      data.insert(data.end(), it->begin(), it->end());
+    }
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      index.push_back(pts.size() - 1 - i);
+    }
+    twice = index;
+    twice.insert(twice.end(), index.begin(), index.end());
+  }
+  ObjectiveRows view(const std::vector<std::size_t>& rows) const {
+    return {data.data(), stride, Span<const std::size_t>(rows)};
+  }
+};
+
+std::vector<Objectives> quantized_points(std::uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<Objectives> pts;
+  for (int i = 0; i < n; ++i) {
+    pts.push_back({static_cast<double>(rng.uniform_int(0, 5)),
+                   static_cast<double>(rng.uniform_int(0, 5)),
+                   static_cast<double>(rng.uniform_int(0, 5)),
+                   static_cast<double>(rng.uniform_int(0, 5))});
+  }
+  return pts;
+}
+
+TEST(RowViewTest, RanksThroughAnIndexMatchTheBaselineAndCopiesShareAFront) {
+  const auto pts = quantized_points(21, 150);
+  const ReversedRows rows(pts);
+  std::vector<int> rank(pts.size());
+  const std::size_t count =
+      non_dominated_ranks(rows.view(rows.index), Span<int>(rank));
+  const auto base = fast_non_dominated_sort_baseline(pts);
+  ASSERT_EQ(count, base.size());
+  for (std::size_t f = 0; f < base.size(); ++f) {
+    for (const std::size_t i : base[f]) EXPECT_EQ(rank[i], static_cast<int>(f));
+  }
+  std::vector<int> rank_twice(rows.twice.size());
+  EXPECT_EQ(non_dominated_ranks(rows.view(rows.twice), Span<int>(rank_twice)),
+            count);
+  for (std::size_t i = 0; i < rows.twice.size(); ++i) {
+    EXPECT_EQ(rank_twice[i], rank[i % pts.size()]) << i;
+  }
+}
+
+TEST(RowViewTest, CrowdingThroughAnIndexIsBitIdenticalWithTies) {
+  // Many exact per-objective ties: the tie order of the per-objective sort
+  // must depend only on the sequence of values, not on the storage.
+  for (const auto& pts : {quantized_points(7, 40), quantized_points(8, 97)}) {
+    const ReversedRows rows(pts);
+    std::vector<double> via_view(pts.size());
+    crowding_distances(rows.view(rows.index), Span<double>(via_view));
+    const auto via_vector = crowding_distances(pts);
+    ASSERT_EQ(via_view.size(), via_vector.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&via_view[i], &via_vector[i], sizeof(double)), 0)
+          << i;
+    }
+  }
 }
 
 TEST(CrowdingTest, BoundariesGetInfinity) {

@@ -337,6 +337,21 @@ TEST(BuilderShiftAccumulatorTest, CensusMatchesTable4Pow2Width) {
   EXPECT_TRUE(nl.census() == shift_accumulator_cost(tech, 4, 16).gates);
 }
 
+TEST(BuilderShiftAccumulatorTest, CensusDeltaPinnedForNonPow2Width) {
+  const Technology tech = Technology::tsmc28();
+  // bx=4, h=256 -> w=12.  The shifter pads each bit to a 16:1 selector:
+  // w*(16-1) = 180 MUX2 against the model's w*(w-1) = 132, so the census
+  // carries w*(16-w) = 48 extra MUX2 and is otherwise exact.
+  const int w = 12;
+  Netlist nl("accu");
+  const auto partial = nl.add_input("p", 8);
+  build_shift_accumulator(nl, partial, w, 3);
+  GateCount expected = shift_accumulator_cost(tech, 4, 256).gates;
+  expected[CellKind::kMux2] += w * (16 - w);
+  EXPECT_TRUE(nl.census() == expected);
+  EXPECT_EQ(nl.census()[CellKind::kMux2], w * 15);
+}
+
 TEST(BuilderPreAlignTest, AlignsMantissas) {
   Netlist nl("align");
   std::vector<Bus> exps, mants;
